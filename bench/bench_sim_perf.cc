@@ -14,8 +14,11 @@
 #include <memory>
 #include <vector>
 
+#include "cache/cache.hh"
+#include "cache/hierarchy.hh"
 #include "cpu/streams.hh"
 #include "mem/dram.hh"
+#include "numa/numa.hh"
 #include "sim/event_queue.hh"
 #include "sim/histogram.hh"
 #include "sim/pool.hh"
@@ -282,6 +285,48 @@ BM_DramChannelRandomReads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_DramChannelRandomReads);
+
+/**
+ * LLC tag probe at the 32-core testbed's geometry: find() as the hit
+ * test, insert() on a miss, over random lines spanning twice the LLC,
+ * so in the steady state about half the probes miss and evict.
+ */
+void
+BM_SetAssocCacheLlcProbe(benchmark::State &state)
+{
+    const CacheParams p = testbed_params::sprHierarchy(32).llc;
+    SetAssocCache llc(p);
+    Rng rng(5);
+    std::vector<std::uint64_t> lines(1 << 20);
+    for (std::uint64_t &l : lines)
+        l = rng.below(2 * p.sizeBytes / cachelineBytes);
+    const auto sweep = [&] {
+        for (const std::uint64_t l : lines) {
+            if (llc.find(l) == nullptr)
+                llc.insert(l, LineState::Exclusive, 0);
+        }
+    };
+    sweep(); // reach the steady state first
+    for (auto _ : state)
+        sweep();
+    benchmark::DoNotOptimize(llc.stats().evictions);
+    state.SetItemsProcessed(state.iterations() * lines.size());
+}
+BENCHMARK(BM_SetAssocCacheLlcProbe);
+
+/** Set-up cost of the 32-core testbed's tag arrays (L1, L2, LLC and
+ *  TLBs for every core), which every Machine pays before any event. */
+void
+BM_HierarchyBuild32(benchmark::State &state)
+{
+    EventQueue eq;
+    NumaSpace numa;
+    for (auto _ : state) {
+        CacheHierarchy h(eq, numa, testbed_params::sprHierarchy(32));
+        benchmark::DoNotOptimize(&h);
+    }
+}
+BENCHMARK(BM_HierarchyBuild32);
 
 void
 BM_EndToEndSequentialLoads(benchmark::State &state)

@@ -13,10 +13,11 @@
 #ifndef CXLMEMO_CACHE_CACHE_HH
 #define CXLMEMO_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -63,21 +64,26 @@ struct CacheStats
 
 /**
  * The tag array of one cache. Addresses are line-granular
- * ("line address" = physical address >> 6).
+ * ("line address" = physical address >> 6, so never 2^64 - 1).
+ *
+ * Storage is structure-of-arrays, set-major: a tag word per way (0 =
+ * invalid, else lineAddr + 1), an LRU stamp per way and a 4-byte
+ * metadata Line per way. All three live in one zero-filled block, so
+ * a set no access ever touches costs neither construction time nor
+ * resident pages (DESIGN.md section 9).
  */
 class SetAssocCache
 {
   public:
+    /** Per-way metadata; meaningful only while the way's tag is valid. */
     struct Line
     {
-        std::uint64_t tag = ~std::uint64_t(0);
         LineState state = LineState::Invalid;
-        std::uint64_t lastUse = 0;
+        /** Set by the prefetcher; cleared on first demand hit. */
+        bool prefetched = false;
         /** Core that installed the line (inclusive-directory hint so
          *  back-invalidation does not scan every core). */
         std::uint16_t owner = 0;
-        /** Set by the prefetcher; cleared on first demand hit. */
-        bool prefetched = false;
     };
 
     /** A valid line displaced by insert(). */
@@ -97,7 +103,8 @@ class SetAssocCache
     const Line *peek(std::uint64_t lineAddr) const;
 
     /**
-     * Install a line, possibly displacing the set's LRU victim.
+     * Install a line into the set's first invalid way, else over its
+     * least recently used way (lowest way on a tie).
      * @return the displaced valid line, if any.
      */
     std::optional<Victim> insert(std::uint64_t lineAddr, LineState state,
@@ -117,14 +124,32 @@ class SetAssocCache
     void flushAll();
 
   private:
-    std::uint32_t setOf(std::uint64_t lineAddr) const;
+    /** Frees the zero-filled block behind the three way arrays. */
+    struct Release
+    {
+        std::size_t mappedBytes; //!< 0: the block came from calloc
+        void operator()(std::byte *p) const;
+    };
+
+    /** Index of the first way of @p lineAddr's set. */
+    std::size_t setBase(std::uint64_t lineAddr) const;
+    /** Way of @p tag in the set at @p base, or assoc if none holds it. */
+    std::uint32_t wayOf(std::size_t base, std::uint64_t tag) const;
 
     CacheParams params_;
     std::uint32_t numSets_;
-    std::vector<Line> lines_; //!< numSets_ * assoc, set-major
+    std::unique_ptr<std::byte[], Release> storage_;
+    std::uint64_t *tags_;   //!< 0 = invalid, else lineAddr + 1
+    std::uint64_t *stamps_; //!< LRU use clock at last touch
+    Line *lines_;
     std::uint64_t useClock_ = 0;
+    /** No insert since construction or the last flushAll(). */
+    bool empty_ = true;
     CacheStats stats_;
 };
+
+static_assert(sizeof(SetAssocCache::Line) == 4,
+              "per-way metadata must stay 4 bytes");
 
 } // namespace cxlmemo
 

@@ -70,6 +70,7 @@ runStream(Machine &m, std::uint16_t core,
           std::unique_ptr<AccessStream> stream)
 {
     HwThread thread(m.caches(), core, m.coreParams());
+    thread.setAttribution(m.attribution());
     Tick start = 0;
     Tick end = 0;
     thread.start(std::move(stream), m.eq().curTick(),

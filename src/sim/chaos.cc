@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "sim/specparse.hh"
 #include "sim/statmerge.hh"
 
 namespace cxlmemo
@@ -18,25 +19,9 @@ namespace cxlmemo
 namespace
 {
 
-bool
-parseF(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(v.c_str(), &end);
-    return end == v.c_str() + v.size();
-}
-
-bool
-parseU(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty() || v[0] == '-')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(v.c_str(), &end, 10);
-    return end == v.c_str() + v.size();
-}
+using specparse::parseF;
+using specparse::parseU32;
+using specparse::parseU64;
 
 } // namespace
 
@@ -113,18 +98,18 @@ ChaosSpec::parse(const std::string &text, std::string &error)
         const std::string value = item.substr(eq + 1);
         double f = 0.0;
         std::uint64_t n = 0;
-        if (key == "link-down-at-ns" && parseU(value, n)) {
+        std::uint32_t n32 = 0;
+        if (key == "link-down-at-ns" && parseU64(value, n)) {
             spec.linkDownAtNs = n;
         } else if (key == "retrain-ns" && parseF(value, f)) {
             spec.retrainNs = f;
         } else if (key == "step-up-ns" && parseF(value, f)) {
             spec.stepUpNs = f;
-        } else if (key == "crc-burst" && parseU(value, n)) {
-            spec.crcBurstTrigger = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "remove-at-ns" && parseU(value, n)) {
+        } else if (key == "crc-burst" && parseU32(value, n32)) {
+            spec.crcBurstTrigger = n32;
+        } else if (key == "remove-at-ns" && parseU64(value, n)) {
             spec.removeAtNs = n;
-        } else if (key == "readd-at-ns" && parseU(value, n)) {
+        } else if (key == "readd-at-ns" && parseU64(value, n)) {
             spec.readdAtNs = n;
         } else if (key == "contain") {
             if (value == "poison") {
@@ -137,13 +122,11 @@ ChaosSpec::parse(const std::string &text, std::string &error)
             }
         } else if (key == "abort-ns" && parseF(value, f)) {
             spec.abortNs = f;
-        } else if (key == "offline-threshold" && parseU(value, n)) {
-            spec.offlineThreshold = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "max-offline-pages" && parseU(value, n)) {
-            spec.maxOfflinePages = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "seed" && parseU(value, n)) {
+        } else if (key == "offline-threshold" && parseU32(value, n32)) {
+            spec.offlineThreshold = n32;
+        } else if (key == "max-offline-pages" && parseU32(value, n32)) {
+            spec.maxOfflinePages = n32;
+        } else if (key == "seed" && parseU64(value, n)) {
             spec.seed = n;
         } else {
             error = "bad chaos-spec item: " + item;

@@ -1,10 +1,10 @@
 #include "sim/fault.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sim/logging.hh"
+#include "sim/specparse.hh"
 
 namespace cxlmemo
 {
@@ -12,31 +12,9 @@ namespace cxlmemo
 namespace
 {
 
-bool
-parseRate(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = d;
-    return true;
-}
-
-bool
-parseU64(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = u;
-    return true;
-}
+using specparse::parseF;
+using specparse::parseU32;
+using specparse::parseU64;
 
 void
 requireRate(double v, const char *what)
@@ -115,31 +93,32 @@ FaultSpec::parse(const std::string &text, std::string &error)
         const std::string value = item.substr(eq + 1);
         double rate = 0.0;
         std::uint64_t num = 0;
-        if (key == "crc" && parseRate(value, rate)) {
+        std::uint32_t num32 = 0;
+        if (key == "crc" && parseF(value, rate)) {
             spec.crcPerFlit = rate;
-        } else if (key == "poison" && parseRate(value, rate)) {
+        } else if (key == "poison" && parseF(value, rate)) {
             spec.readPoisonRate = rate;
-        } else if (key == "timeout" && parseRate(value, rate)) {
+        } else if (key == "timeout" && parseF(value, rate)) {
             spec.timeoutRate = rate;
-        } else if (key == "drain" && parseRate(value, rate)) {
+        } else if (key == "drain" && parseF(value, rate)) {
             spec.drainStallRate = rate;
-        } else if (key == "dram" && parseRate(value, rate)) {
+        } else if (key == "dram" && parseF(value, rate)) {
             spec.dramStallRate = rate;
-        } else if (key == "stall-ns" && parseRate(value, rate)
+        } else if (key == "stall-ns" && parseF(value, rate)
                    && rate >= 0.0) {
             spec.drainStallTicks = ticksFromNs(rate);
             spec.dramStallTicks = ticksFromNs(rate);
-        } else if (key == "timeout-ns" && parseRate(value, rate)
+        } else if (key == "timeout-ns" && parseF(value, rate)
                    && rate > 0.0) {
             spec.requestTimeout = ticksFromNs(rate);
-        } else if (key == "backoff-ns" && parseRate(value, rate)
+        } else if (key == "backoff-ns" && parseF(value, rate)
                    && rate > 0.0) {
             spec.backoffBase = ticksFromNs(rate);
-        } else if (key == "retries" && parseU64(value, num)) {
-            spec.maxHostRetries = static_cast<std::uint32_t>(num);
-        } else if (key == "degrade" && parseU64(value, num)) {
-            spec.degradeBurst = static_cast<std::uint32_t>(num);
-        } else if (key == "degrade-window-ns" && parseRate(value, rate)
+        } else if (key == "retries" && parseU32(value, num32)) {
+            spec.maxHostRetries = num32;
+        } else if (key == "degrade" && parseU32(value, num32)) {
+            spec.degradeBurst = num32;
+        } else if (key == "degrade-window-ns" && parseF(value, rate)
                    && rate > 0.0) {
             spec.degradeWindow = ticksFromNs(rate);
         } else if (key == "seed" && parseU64(value, num)) {

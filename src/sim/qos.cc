@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "sim/specparse.hh"
 
 namespace cxlmemo
 {
@@ -42,31 +43,8 @@ devLoadName(DevLoad l)
 namespace
 {
 
-bool
-parseF(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = d;
-    return true;
-}
-
-bool
-parseU(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = u;
-    return true;
-}
+using specparse::parseF;
+using specparse::parseU32;
 
 void
 requireFraction(double v, const char *what)
@@ -141,14 +119,14 @@ QosSpec::parse(const std::string &text, std::string &error)
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         double f = 0.0;
-        std::uint64_t n = 0;
-        if (key == "credits" && parseU(value, n)) {
-            spec.rdCredits = static_cast<std::uint32_t>(n);
-            spec.wrCredits = static_cast<std::uint32_t>(n);
-        } else if (key == "rd-credits" && parseU(value, n)) {
-            spec.rdCredits = static_cast<std::uint32_t>(n);
-        } else if (key == "wr-credits" && parseU(value, n)) {
-            spec.wrCredits = static_cast<std::uint32_t>(n);
+        std::uint32_t n = 0;
+        if (key == "credits" && parseU32(value, n)) {
+            spec.rdCredits = n;
+            spec.wrCredits = n;
+        } else if (key == "rd-credits" && parseU32(value, n)) {
+            spec.rdCredits = n;
+        } else if (key == "wr-credits" && parseU32(value, n)) {
+            spec.wrCredits = n;
         } else if (key == "policy") {
             if (value == "none") {
                 spec.policy = QosPolicy::None;
@@ -174,8 +152,8 @@ QosSpec::parse(const std::string &text, std::string &error)
             spec.floor = f;
         } else if (key == "slope" && parseF(value, f)) {
             spec.slope = f;
-        } else if (key == "burst" && parseU(value, n)) {
-            spec.burstLines = static_cast<std::uint32_t>(n);
+        } else if (key == "burst" && parseU32(value, n)) {
+            spec.burstLines = n;
         } else if (key == "line-ns" && parseF(value, f) && f > 0.0) {
             spec.lineCost = ticksFromNs(f);
         } else {

@@ -8,12 +8,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "cxl/device.hh"
 #include "sim/logging.hh"
+#include "sim/specparse.hh"
 #include "system/machine.hh"
 
 namespace cxlmemo
@@ -21,6 +21,10 @@ namespace cxlmemo
 
 namespace
 {
+
+using specparse::parseF;
+using specparse::parseU32;
+using specparse::parseU64;
 
 constexpr std::uint64_t fnvBasis = 1469598103934665603ULL;
 constexpr std::uint64_t fnvPrime = 1099511628211ULL;
@@ -36,26 +40,6 @@ fnv(std::uint64_t h, std::uint64_t v)
 }
 
 bool
-parseF(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(v.c_str(), &end);
-    return end == v.c_str() + v.size();
-}
-
-bool
-parseU(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty() || v[0] == '-')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(v.c_str(), &end, 10);
-    return end == v.c_str() + v.size();
-}
-
-bool
 parseHost(const std::string &v, std::int32_t &out)
 {
     if (v == "-1") { // disabled: what toString() prints for "off"
@@ -63,7 +47,7 @@ parseHost(const std::string &v, std::int32_t &out)
         return true;
     }
     std::uint64_t n = 0;
-    if (!parseU(v, n) || n > 0xffff)
+    if (!parseU64(v, n) || n > 0xffff)
         return false;
     out = static_cast<std::int32_t>(n);
     return true;
@@ -216,18 +200,18 @@ PoolSpec::parse(const std::string &text, std::string &error)
         const std::string value = item.substr(eq + 1);
         double f = 0.0;
         std::uint64_t n = 0;
+        std::uint32_t n32 = 0;
         std::int32_t h = -1;
-        if (key == "hosts" && parseU(value, n)) {
-            spec.hosts = static_cast<std::uint32_t>(n);
-        } else if (key == "devices" && parseU(value, n)) {
-            spec.devices = static_cast<std::uint32_t>(n);
-        } else if (key == "capacity-mb" && parseU(value, n)) {
+        if (key == "hosts" && parseU32(value, n32)) {
+            spec.hosts = n32;
+        } else if (key == "devices" && parseU32(value, n32)) {
+            spec.devices = n32;
+        } else if (key == "capacity-mb" && parseU64(value, n)) {
             spec.capacityMb = n;
-        } else if (key == "window-mb" && parseU(value, n)) {
+        } else if (key == "window-mb" && parseU64(value, n)) {
             spec.windowMb = n;
-        } else if (key == "credits" && parseU(value, n)) {
-            spec.credits = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
+        } else if (key == "credits" && parseU32(value, n32)) {
+            spec.credits = n32;
         } else if (key == "arb") {
             if (value == "rr") {
                 spec.arb = CxlSwitchParams::Arb::RoundRobin;
@@ -237,13 +221,12 @@ PoolSpec::parse(const std::string &text, std::string &error)
                 error = "bad arb (rr|fixed): " + value;
                 return std::nullopt;
             }
-        } else if (key == "ops" && parseU(value, n)) {
+        } else if (key == "ops" && parseU64(value, n)) {
             spec.ops = n;
         } else if (key == "read-frac" && parseF(value, f)) {
             spec.readFrac = f;
-        } else if (key == "mlp" && parseU(value, n)) {
-            spec.mlp = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
+        } else if (key == "mlp" && parseU32(value, n32)) {
+            spec.mlp = n32;
         } else if (key == "aggressor" && parseHost(value, h)) {
             spec.aggressor = h;
         } else if (key == "crash-host" && parseHost(value, h)) {
@@ -252,9 +235,8 @@ PoolSpec::parse(const std::string &text, std::string &error)
             spec.crashAtNs = f;
         } else if (key == "fence-check-ns" && parseF(value, f)) {
             spec.fenceCheckNs = f;
-        } else if (key == "miss-threshold" && parseU(value, n)) {
-            spec.missThreshold = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
+        } else if (key == "miss-threshold" && parseU32(value, n32)) {
+            spec.missThreshold = n32;
         } else if (key == "scrub-ns-per-mb" && parseF(value, f)) {
             spec.scrubNsPerMb = f;
         } else if (key == "contain") {
@@ -268,7 +250,7 @@ PoolSpec::parse(const std::string &text, std::string &error)
             }
         } else if (key == "poison-host" && parseHost(value, h)) {
             spec.poisonHost = h;
-        } else if (key == "poison-every" && parseU(value, n)) {
+        } else if (key == "poison-every" && parseU64(value, n)) {
             spec.poisonEvery = n;
         } else if (key == "port-down-host" && parseHost(value, h)) {
             spec.portDownHost = h;
@@ -276,7 +258,7 @@ PoolSpec::parse(const std::string &text, std::string &error)
             spec.portDownAtNs = f;
         } else if (key == "retrain-ns" && parseF(value, f)) {
             spec.retrainNs = f;
-        } else if (key == "seed" && parseU(value, n)) {
+        } else if (key == "seed" && parseU64(value, n)) {
             spec.seed = n;
         } else {
             error = "bad pool-spec item: " + item;

@@ -352,6 +352,26 @@ TEST(MachineAttribution, MergeAcrossMachinesMatchesJobSplit)
     EXPECT_TRUE(ab.decompositionExact());
 }
 
+TEST(MachineAttribution, ChaseSweepBracketsEveryDemandRead)
+{
+    // memo's chase and latency modes run their streams through
+    // memo::runStream, whose thread must feed the board's request
+    // bracket: otherwise the stations add up stack ticks against zero
+    // bracketed reads and the decomposition breaks.
+    memo::Options opts = fastOpts();
+    opts.obs.attribution = true;
+    AttribSnapshot snap;
+    opts.onMachineDone = [&snap](Machine &m) {
+        ASSERT_NE(m.attribution(), nullptr);
+        snap = m.attribSnapshot();
+    };
+    memo::runPtrChaseWssSweep(memo::Target::Cxl, {4 * kiB, 1 * miB},
+                              opts);
+    EXPECT_GT(snap.reqCount, 0u);
+    EXPECT_TRUE(snap.decompositionExact());
+    EXPECT_EQ(snap.stackTicks() + snap.otherTicks(), snap.totalTicks);
+}
+
 TEST(MachineAttribution, StatsStringCarriesAttribLines)
 {
     memo::Options opts = fastOpts();

@@ -2,7 +2,9 @@
  * @file
  * Tests for the set-associative cache and the three-level hierarchy:
  * hit/miss behaviour, LRU, RFO semantics, writeback traffic,
- * inclusivity, flush instructions and the stream prefetcher.
+ * inclusivity, flush instructions and the stream prefetcher. The
+ * tag array is also checked op for op against the array-of-structs
+ * store it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "mem/request.hh"
 #include "numa/numa.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace cxlmemo
 {
@@ -74,6 +77,200 @@ TEST(SetAssocCache, FlushAllEmptiesEverything)
     c.flushAll();
     for (std::uint64_t i = 0; i < 64; ++i)
         EXPECT_EQ(c.find(i), nullptr);
+}
+
+/**
+ * The array-of-structs tag store that SetAssocCache replaced, kept
+ * verbatim in behaviour as the reference model for the differential
+ * test below. It also counts re-inserts that meet an earlier hole.
+ */
+class RefCache
+{
+  public:
+    struct Line
+    {
+        std::uint64_t tag = ~std::uint64_t(0);
+        LineState state = LineState::Invalid;
+        std::uint64_t lastUse = 0;
+        std::uint16_t owner = 0;
+        bool prefetched = false;
+    };
+
+    explicit RefCache(const SetAssocCache &shape)
+        : assoc_(shape.params().assoc), sets_(shape.numSets()),
+          lines_(std::size_t(sets_) * assoc_)
+    {}
+
+    Line *
+    peek(std::uint64_t la)
+    {
+        Line *b = setOf(la);
+        for (std::uint32_t w = 0; w < assoc_; ++w)
+            if (b[w].state != LineState::Invalid && b[w].tag == la)
+                return &b[w];
+        return nullptr;
+    }
+
+    Line *
+    find(std::uint64_t la)
+    {
+        Line *l = peek(la);
+        if (l)
+            l->lastUse = ++clock_;
+        return l;
+    }
+
+    std::optional<SetAssocCache::Victim>
+    insert(std::uint64_t la, LineState st, std::uint16_t owner, bool pf)
+    {
+        Line *b = setOf(la);
+        Line *slot = nullptr;
+        Line *lru = &b[0];
+        for (std::uint32_t w = 0; w < assoc_; ++w) {
+            Line &l = b[w];
+            if (l.state == LineState::Invalid) {
+                slot = &l;
+                holeReinserts += peek(la) != nullptr;
+                break;
+            }
+            if (l.tag == la) {
+                l.state = st;
+                l.lastUse = ++clock_;
+                l.owner = owner;
+                return std::nullopt;
+            }
+            if (l.lastUse < lru->lastUse)
+                lru = &l;
+        }
+        std::optional<SetAssocCache::Victim> victim;
+        if (!slot) {
+            victim = SetAssocCache::Victim{lru->tag, lru->state, lru->owner};
+            evictions++;
+            dirtyEvictions += lru->state == LineState::Modified;
+            slot = lru;
+        }
+        *slot = Line{la, st, ++clock_, owner, pf};
+        return victim;
+    }
+
+    LineState
+    invalidate(std::uint64_t la)
+    {
+        Line *l = peek(la);
+        if (!l)
+            return LineState::Invalid;
+        const LineState prior = l->state;
+        l->state = LineState::Invalid;
+        return prior;
+    }
+
+    void
+    flushAll()
+    {
+        for (Line &l : lines_)
+            l.state = LineState::Invalid;
+    }
+
+    std::uint64_t evictions = 0;
+    std::uint64_t dirtyEvictions = 0;
+    std::uint64_t holeReinserts = 0;
+
+  private:
+    Line *
+    setOf(std::uint64_t la)
+    {
+        const std::uint64_t set = (la ^ (la >> 17)) & (sets_ - 1);
+        return &lines_[set * assoc_];
+    }
+
+    std::uint32_t assoc_;
+    std::uint32_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+/** Same line (or both absent), field for field. */
+template <typename A, typename B>
+void
+expectSameLine(const A *got, const B *want)
+{
+    ASSERT_EQ(got == nullptr, want == nullptr);
+    if (!got)
+        return;
+    EXPECT_EQ(got->state, want->state);
+    EXPECT_EQ(got->owner, want->owner);
+    EXPECT_EQ(got->prefetched, want->prefetched);
+}
+
+TEST(SetAssocCache, MatchesArrayOfStructsReference)
+{
+    const std::vector<CacheParams> shapes = {
+        {"l1d", 48 * kiB, 12, 0},        {"l2", 2 * miB, 16, 0},
+        {"llc", 60 * miB, 15, 0},        {"dtlb", 64 * 64, 4, 0},
+        {"stlb", 1536 * 64, 12, 0},      {"direct", 4 * kiB, 1, 0},
+    };
+    constexpr LineState states[] = {LineState::Shared,
+                                    LineState::Exclusive,
+                                    LineState::Modified};
+    for (const CacheParams &shape : shapes) {
+        for (std::uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(shape.name + " seed " + std::to_string(seed));
+            SetAssocCache c(shape);
+            RefCache ref(c);
+            Rng rng(seed);
+            // Lines s + (k << 34) all map to set s: three hot sets, each
+            // with more candidate lines than ways, plus line 2^64 - 2.
+            const std::uint32_t sets = c.numSets();
+            std::vector<std::uint64_t> pool = {~std::uint64_t(1)};
+            for (std::uint64_t s : {0u, 1u, sets - 1})
+                for (std::uint64_t k = 0; k <= 2 * shape.assoc; ++k)
+                    pool.push_back(s + (k << 34));
+            for (int op = 0; op < 3000; ++op) {
+                const std::uint64_t la = pool[rng.below(pool.size())];
+                const std::uint64_t dice = rng.below(100);
+                if (dice < 30) {
+                    SetAssocCache::Line *got = c.find(la);
+                    RefCache::Line *want = ref.find(la);
+                    expectSameLine(got, want);
+                    if (got && want && rng.chance(0.3)) {
+                        // What the hierarchy does through a hit.
+                        got->state = want->state = LineState::Modified;
+                        got->prefetched = want->prefetched = false;
+                    }
+                } else if (dice < 40) {
+                    expectSameLine(c.peek(la), ref.peek(la));
+                } else if (dice < 80) {
+                    const LineState st = states[rng.below(3)];
+                    const auto owner =
+                        static_cast<std::uint16_t>(rng.below(32));
+                    const bool pf = rng.chance(0.2);
+                    const auto got = c.insert(la, st, owner, pf);
+                    const auto want = ref.insert(la, st, owner, pf);
+                    ASSERT_EQ(got.has_value(), want.has_value());
+                    if (got) {
+                        EXPECT_EQ(got->lineAddr, want->lineAddr);
+                        EXPECT_EQ(got->state, want->state);
+                        EXPECT_EQ(got->owner, want->owner);
+                    }
+                } else if (dice < 99) {
+                    EXPECT_EQ(c.invalidate(la), ref.invalidate(la));
+                } else {
+                    c.flushAll();
+                    ref.flushAll();
+                }
+                EXPECT_EQ(c.stats().evictions, ref.evictions);
+                EXPECT_EQ(c.stats().dirtyEvictions, ref.dirtyEvictions);
+                for (std::uint64_t p : pool)
+                    expectSameLine(c.peek(p), ref.peek(p));
+                if (HasFailure())
+                    return;
+            }
+            EXPECT_GT(ref.evictions, 0u);
+            if (shape.assoc > 1) { // a 1-way set holds no earlier hole
+                EXPECT_GT(ref.holeReinserts, 0u);
+            }
+        }
+    }
 }
 
 /** Device that counts per-command traffic and completes after 50 ns. */

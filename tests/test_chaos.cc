@@ -83,6 +83,13 @@ TEST(ChaosSpec, RejectsMalformedInput)
             .has_value());
     EXPECT_FALSE(
         ChaosSpec::parse("max-offline-pages=0", err).has_value());
+    // Integers that do not fit fail instead of clamping to 2^32 - 1.
+    EXPECT_FALSE(ChaosSpec::parse("crc-burst=4294967296", err).has_value());
+    EXPECT_FALSE(
+        ChaosSpec::parse("offline-threshold=4294967297", err).has_value());
+    EXPECT_FALSE(
+        ChaosSpec::parse("link-down-at-ns=18446744073709551616", err)
+            .has_value());
 }
 
 TEST(ChaosSpec, ValidateThrowsOnBadValues)

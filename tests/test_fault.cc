@@ -77,6 +77,19 @@ TEST(FaultSpec, RejectsOutOfRangeValues)
     EXPECT_FALSE(FaultSpec::parse("retries=0", err).has_value());
     EXPECT_FALSE(FaultSpec::parse("retries=17", err).has_value());
     EXPECT_NE(err.find("[1,16]"), std::string::npos);
+    // An integer that does not fit its field fails: narrowed, 2^32 + 1
+    // would run as a legal retries=1.
+    EXPECT_FALSE(FaultSpec::parse("retries=4294967297", err).has_value());
+    EXPECT_NE(err.find("retries=4294967297"), std::string::npos) << err;
+    EXPECT_FALSE(FaultSpec::parse("degrade=4294967296", err).has_value());
+    EXPECT_FALSE(
+        FaultSpec::parse("seed=18446744073709551616", err).has_value());
+    EXPECT_FALSE(FaultSpec::parse("seed=-1", err).has_value());
+    const auto edge = FaultSpec::parse(
+        "degrade=4294967295,seed=18446744073709551615", err);
+    ASSERT_TRUE(edge.has_value()) << err;
+    EXPECT_EQ(edge->degradeBurst, 4294967295u);
+    EXPECT_EQ(edge->seed, 18446744073709551615ull);
 }
 
 TEST(FaultSpec, ValidateThrowsOnBadRates)

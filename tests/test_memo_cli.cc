@@ -210,6 +210,8 @@ TEST(MemoCli, FaultSpecRejectsBadGrammar)
     EXPECT_FALSE(parse({"--fault-spec", "crc"}).has_value());
     EXPECT_FALSE(parse({"--fault-spec", "crc=2"}).has_value());
     EXPECT_FALSE(parse({"--fault-spec", "unknown=1"}).has_value());
+    // 2^32 + 1 does not fit the field (narrowed, it is a legal 1).
+    EXPECT_FALSE(parse({"--fault-spec", "retries=4294967297"}).has_value());
     EXPECT_FALSE(parse({"--fault-spec"}).has_value()); // missing value
     EXPECT_NE(cliUsage().find("--fault-spec"), std::string::npos);
 }
@@ -518,6 +520,11 @@ TEST(MemoCli, PoolSpecRejectsBadGrammar)
     v = {"--mode", "pool", "--pool-spec", "frobnicate=1"};
     EXPECT_FALSE(parseCli(v, err).has_value());
     EXPECT_NE(err.find("pool-spec"), std::string::npos) << err;
+    // Too large for the 32-bit credit count: an error, not a clamp.
+    err.clear();
+    v = {"--mode", "pool", "--pool-spec", "credits=99999999999"};
+    EXPECT_FALSE(parseCli(v, err).has_value());
+    EXPECT_NE(err.find("credits=99999999999"), std::string::npos) << err;
 }
 
 TEST(MemoCli, PoolSpecRequiresPoolMode)

@@ -111,6 +111,16 @@ TEST(PoolSpec, RejectsBadInput)
     // Aggressor index must name a real host.
     EXPECT_FALSE(PoolSpec::parse("hosts=2,aggressor=5", err)
                      .has_value());
+    // An integer that does not fit its field fails rather than clamp
+    // or wrap into a legal value (hosts=4294967300 would be hosts=4).
+    for (const char *text :
+         {"credits=99999999999", "hosts=4294967300", "devices=4294967297",
+          "mlp=4294967304", "miss-threshold=4294967297",
+          "capacity-mb=18446744073709551616"}) {
+        err.clear();
+        EXPECT_FALSE(PoolSpec::parse(text, err).has_value()) << text;
+        EXPECT_NE(err.find(text), std::string::npos) << err;
+    }
 }
 
 TEST(PoolSpec, DefaultSpecIsCleanAndValid)

@@ -72,6 +72,10 @@ TEST(QosSpec, ParseRejectsGarbage)
     EXPECT_FALSE(QosSpec::parse("credits=5000", err).has_value());
     EXPECT_FALSE(QosSpec::parse("policy=aimd,md=1.5", err).has_value());
     EXPECT_FALSE(err.empty());
+    // 2^32 + 8 does not fit (narrowed, it is a legal credits=8).
+    EXPECT_FALSE(QosSpec::parse("credits=4294967304", err).has_value());
+    EXPECT_FALSE(QosSpec::parse("burst=4294967297", err).has_value());
+    EXPECT_FALSE(QosSpec::parse("wr-credits=-1", err).has_value());
 }
 
 /* -------------------------- credit pool --------------------------- */
