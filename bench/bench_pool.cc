@@ -5,8 +5,8 @@
  * (credit pools sized above the in-flight demand, a fast fence
  * checker, the watchdog), checks that the disabled path stays
  * deterministic, and records one full pool drill (aggressor flood +
- * host crash + fencing + capacity re-grant) on the classic and the
- * parallel engine. Writes the measurements to BENCH_pool.json.
+ * host crash + fencing + capacity re-grant). Writes the measurements
+ * to BENCH_pool.json.
  *
  * Exits nonzero when the armed-but-idle overhead exceeds the 5%
  * budget, when the disabled path is nondeterministic, or when a drill
@@ -157,7 +157,7 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    // Full drill (crash + aggressor + credits + poison) per engine.
+    // Full drill (crash + aggressor + credits + poison).
     std::string err;
     const auto drill = PoolSpec::parse(
         "hosts=4,ops=8000,crash-host=1,crash-at-ns=40000,aggressor=3,"
@@ -167,54 +167,24 @@ main(int argc, char **argv)
         std::fprintf(stderr, "bad drill spec: %s\n", err.c_str());
         return 1;
     }
-    struct DrillRow
-    {
-        std::uint32_t simThreads;
-        double seconds;
-        memo::PoolResult r;
-    };
-    std::vector<DrillRow> drills;
-    for (std::uint32_t t : {0u, 1u, 8u}) {
-        DrillRow row;
-        row.simThreads = t;
-        memo::Options opts;
-        opts.simThreads = t;
-        const auto t0 = std::chrono::steady_clock::now();
-        row.r = memo::runPool(*drill, opts);
-        const auto t1 = std::chrono::steady_clock::now();
-        row.seconds = std::chrono::duration<double>(t1 - t0).count();
-        const auto &c = row.r.cluster;
-        std::printf("pool,drill_t%u_time_to_fence_ns,%.1f\n", t,
-                    c.timeToFenceNs);
-        std::printf("pool,drill_t%u_quarantined_mb,%llu\n", t,
-                    static_cast<unsigned long long>(
-                        c.quarantinedBytes / miB));
-        std::printf("pool,drill_t%u_recovered_mb,%llu\n", t,
-                    static_cast<unsigned long long>(
-                        c.recoveredBytes / miB));
-        std::printf("pool,drill_t%u_ledger_ok,%d\n", t,
-                    c.ledgerOk ? 1 : 0);
-        std::printf("pool,drill_t%u_isolation_ok,%d\n", t,
-                    row.r.isolationOk ? 1 : 0);
-        if (!c.ledgerOk || !row.r.isolationOk || c.watchdogTripped) {
-            std::fprintf(stderr,
-                         "FAIL: drill sim-threads=%u violates an "
-                         "invariant (ledger=%d isolation=%d)\n",
-                         t, c.ledgerOk ? 1 : 0,
-                         row.r.isolationOk ? 1 : 0);
-            ok = false;
-        }
-        drills.push_back(std::move(row));
-    }
-    // Every parallel thread count must produce the same execution.
-    // (The classic engine is a different engine: its same-tick
-    // arrival interleaving may legitimately differ, so it is held to
-    // the invariants above, not to byte-equality with parallel.)
-    if (fingerprint(drills[1].r.cluster)
-        != fingerprint(drills[2].r.cluster)) {
+    const auto d0 = std::chrono::steady_clock::now();
+    const memo::PoolResult dr = memo::runPool(*drill);
+    const double drillS = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - d0)
+                              .count();
+    const ClusterResult &c = dr.cluster;
+    std::printf("pool,drill_time_to_fence_ns,%.1f\n", c.timeToFenceNs);
+    std::printf("pool,drill_quarantined_mb,%llu\n",
+                static_cast<unsigned long long>(c.quarantinedBytes / miB));
+    std::printf("pool,drill_recovered_mb,%llu\n",
+                static_cast<unsigned long long>(c.recoveredBytes / miB));
+    std::printf("pool,drill_ledger_ok,%d\n", c.ledgerOk ? 1 : 0);
+    std::printf("pool,drill_isolation_ok,%d\n", dr.isolationOk ? 1 : 0);
+    if (!c.ledgerOk || !dr.isolationOk || c.watchdogTripped) {
         std::fprintf(stderr,
-                     "FAIL: parallel drills disagree across "
-                     "thread counts\n");
+                     "FAIL: drill violates an invariant (ledger=%d "
+                     "isolation=%d)\n",
+                     c.ledgerOk ? 1 : 0, dr.isolationOk ? 1 : 0);
         ok = false;
     }
 
@@ -231,31 +201,20 @@ main(int argc, char **argv)
             "  \"overhead_budget_pct\": %.1f,\n"
             "  \"disabled_identical\": %s,\n"
             "  \"armed_idle_digests_identical\": %s,\n"
-            "  \"drills\": [",
+            "  \"drill\": {\"ms\": %.3f, \"time_to_fence_ns\": %.1f, "
+            "\"quarantined_bytes\": %llu, \"recovered_bytes\": %llu, "
+            "\"ledger_ok\": %s, \"isolation_ok\": %s, "
+            "\"verdict\": \"%s\"}\n"
+            "}\n",
             cleanSpec().toString().c_str(), reps, offS * 1e3,
             onS * 1e3, overheadPct, kOverheadBudgetPct,
             offIdentical ? "true" : "false",
-            armedClean ? "true" : "false");
-        for (std::size_t i = 0; i < drills.size(); ++i) {
-            const DrillRow &r = drills[i];
-            const auto &c = r.r.cluster;
-            std::fprintf(
-                f,
-                "%s\n    {\"sim_threads\": %u, \"ms\": %.3f, "
-                "\"time_to_fence_ns\": %.1f, "
-                "\"quarantined_bytes\": %llu, "
-                "\"recovered_bytes\": %llu, "
-                "\"ledger_ok\": %s, \"isolation_ok\": %s, "
-                "\"verdict\": \"%s\"}",
-                i ? "," : "", r.simThreads, r.seconds * 1e3,
-                c.timeToFenceNs,
-                static_cast<unsigned long long>(c.quarantinedBytes),
-                static_cast<unsigned long long>(c.recoveredBytes),
-                c.ledgerOk ? "true" : "false",
-                r.r.isolationOk ? "true" : "false",
-                c.verdict.c_str());
-        }
-        std::fprintf(f, "\n  ]\n}\n");
+            armedClean ? "true" : "false", drillS * 1e3,
+            c.timeToFenceNs,
+            static_cast<unsigned long long>(c.quarantinedBytes),
+            static_cast<unsigned long long>(c.recoveredBytes),
+            c.ledgerOk ? "true" : "false",
+            dr.isolationOk ? "true" : "false", c.verdict.c_str());
         std::fclose(f);
         bench::note(("wrote " + out).c_str());
     } else {

@@ -413,88 +413,6 @@ BM_EndToEndTracedLoads(benchmark::State &state)
 }
 BENCHMARK(BM_EndToEndTracedLoads)->Arg(0)->Arg(64)->Arg(1);
 
-/* ------------------------ parallel engine ------------------------ */
-
-/**
- * The fig. 3 shape the parallel engine targets: 32 cores streaming
- * loads at the CXL device. Arg = sim-threads (0 = the classic
- * single-queue engine; >= 1 = domain-partitioned). The interesting
- * ratios are arg 1 vs arg 0 (parallel-engine overhead on one worker,
- * the <= 5% regression budget) and arg N vs arg 1 (self-relative
- * speedup recorded in BENCH_parallel.json).
- */
-void
-BM_ParallelFig3Point(benchmark::State &state)
-{
-    const auto st = static_cast<std::uint32_t>(state.range(0));
-    constexpr std::uint32_t cores = 32;
-    constexpr std::uint64_t perThread = 4 * miB;
-    for (auto _ : state) {
-        state.PauseTiming();
-        MachineOptions mo;
-        mo.simThreads = st;
-        Machine m(Testbed::SingleSocketCxl, mo);
-        NumaBuffer buf = m.numa().alloc(
-            std::uint64_t(cores) * perThread,
-            MemPolicy::membind(m.cxlNode()));
-        std::vector<std::unique_ptr<HwThread>> pool;
-        for (std::uint32_t t = 0; t < cores; ++t)
-            pool.push_back(m.makeThread(static_cast<std::uint16_t>(t)));
-        state.ResumeTiming();
-
-        for (std::uint32_t t = 0; t < cores; ++t)
-            pool[t]->start(std::make_unique<SequentialStream>(
-                               buf, std::uint64_t(t) * perThread,
-                               perThread, perThread, MemOp::Kind::Load),
-                           0, nullptr);
-        m.run();
-        benchmark::DoNotOptimize(pool[0]->stats().loads);
-    }
-    state.SetItemsProcessed(state.iterations() * cores
-                            * (perThread / cachelineBytes));
-}
-BENCHMARK(BM_ParallelFig3Point)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Same shape on the local DDR5 path: 8 channel domains give the
- * engine more lanes than the single CXL device domain above.
- */
-void
-BM_ParallelLocalBwPoint(benchmark::State &state)
-{
-    const auto st = static_cast<std::uint32_t>(state.range(0));
-    constexpr std::uint32_t cores = 32;
-    constexpr std::uint64_t perThread = 4 * miB;
-    for (auto _ : state) {
-        state.PauseTiming();
-        MachineOptions mo;
-        mo.simThreads = st;
-        Machine m(Testbed::SingleSocketCxl, mo);
-        NumaBuffer buf = m.numa().alloc(
-            std::uint64_t(cores) * perThread,
-            MemPolicy::membind(m.localNode()));
-        std::vector<std::unique_ptr<HwThread>> pool;
-        for (std::uint32_t t = 0; t < cores; ++t)
-            pool.push_back(m.makeThread(static_cast<std::uint16_t>(t)));
-        state.ResumeTiming();
-
-        for (std::uint32_t t = 0; t < cores; ++t)
-            pool[t]->start(std::make_unique<SequentialStream>(
-                               buf, std::uint64_t(t) * perThread,
-                               perThread, perThread, MemOp::Kind::Load),
-                           0, nullptr);
-        m.run();
-        benchmark::DoNotOptimize(pool[0]->stats().loads);
-    }
-    state.SetItemsProcessed(state.iterations() * cores
-                            * (perThread / cachelineBytes));
-}
-BENCHMARK(BM_ParallelLocalBwPoint)
-    ->Arg(0)->Arg(1)->Arg(8)->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 BENCHMARK_MAIN();

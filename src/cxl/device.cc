@@ -230,12 +230,8 @@ CxlMemDevice::noteResponse(bool write, Tick at)
         --hostInFlight_;
     }
     releaseCredit(write, at);
-    if (meter_) {
-        if (loadSink_)
-            loadSink_(meter_->load(), meter_->level(), at);
-        else if (throttle_)
-            throttle_->observe(meter_->load(), meter_->level(), at);
-    }
+    if (meter_ && throttle_)
+        throttle_->observe(meter_->load(), meter_->level(), at);
 }
 
 void

@@ -194,16 +194,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
      *  (piggybacked on S2M responses); nullptr = no reaction. */
     void setHostThrottle(HostThrottle *throttle) { throttle_ = throttle; }
 
-    /** Divert DevLoad observations instead of driving a HostThrottle
-     *  directly: the parallel engine installs a sink that posts the
-     *  (load, level, tick) sample into the host domain, because the
-     *  throttle lives on the other side of the domain boundary. A set
-     *  sink takes precedence over setHostThrottle. */
-    void setLoadSink(std::function<void(double, DevLoad, Tick)> sink)
-    {
-        loadSink_ = std::move(sink);
-    }
-
     /** Keep retired/outstanding counters for the watchdog even when
      *  QoS is disabled (adds response-delivery events; only called
      *  when a watchdog actually supervises this device). */
@@ -267,9 +257,8 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
 
     /**
      * Arm the failure-lifecycle layer: schedules the scripted link
-     * outage and hot-remove/re-add events on this device's own event
-     * queue (so they stay domain-local in the parallel engine),
-     * installs the CRC-ceiling outage trigger on both link
+     * outage and hot-remove/re-add events on this device's event
+     * queue, installs the CRC-ceiling outage trigger on both link
      * directions, and enables progress tracking so every response has
      * a delivery event to carry containment accounting. Never called
      * (the default) = zero chaos state, bit-identical behaviour.
@@ -278,8 +267,7 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
 
     /** Host-side announcement sink for chaos transitions (watchdog /
      *  flight recorder / attribution); called with the transition
-     *  tick and a one-line description. In the parallel engine the
-     *  Machine installs a sink that cross-posts into the host domain. */
+     *  tick and a one-line description. */
     void
     setChaosAnnounce(std::function<void(Tick, const std::string &)> sink)
     {
@@ -395,7 +383,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     /* overload control (all inert unless configured) */
     std::unique_ptr<DevLoadMeter> meter_;
     HostThrottle *throttle_ = nullptr;
-    std::function<void(double, DevLoad, Tick)> loadSink_;
     std::deque<std::pair<MemRequest, Tick>> rdCreditWait_;
     std::deque<std::pair<MemRequest, Tick>> wrCreditWait_;
     std::vector<std::uint64_t> sourceCreditStall_; //!< per issuing core

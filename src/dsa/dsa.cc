@@ -84,8 +84,10 @@ struct StreamState
     std::uint64_t written = 0;  //!< bytes fully written
     std::uint32_t inFlight = 0;
     Tick dispatched = 0; //!< engine grab time (latency accounting)
-    /** Issue loop; cleared at descriptor end to break the ownership
-     *  cycle (state -> pump closure -> state). */
+    /** Issue loop. It holds the state weakly: the in-flight chunk
+     *  callbacks own it, so a job cut off mid-copy (its requests
+     *  dropped with the event queue) frees its state instead of
+     *  leaking a state -> pump -> state cycle. */
     InlineCallback<void()> pump;
 };
 
@@ -104,7 +106,8 @@ Dsa::runJob(std::uint32_t engine, Job job)
         station_->account(eq_.curTick() - job.submitted, 0, /*busy=*/0,
                           false, eq_.curTick());
 
-    st->pump = [this, st] {
+    st->pump = [this, weak = std::weak_ptr<StreamState>(st)] {
+        const std::shared_ptr<StreamState> st = weak.lock();
         const DsaDescriptor &d = st->descs[st->idx];
         while (st->inFlight < params_.chunksInFlight
                && st->cursor < d.bytes) {
@@ -153,7 +156,6 @@ Dsa::runJob(std::uint32_t engine, Job job)
                         return;
                     }
                     // Job finished: completion record + free the PE.
-                    st->pump = nullptr;
                     const Tick done = t + params_.completionLatency;
                     if (st->onComplete) {
                         eq_.schedule(done,

@@ -20,8 +20,7 @@ CxlSwitchParams::validate() const
             "CxlSwitchParams: ports must be in [1, 64]");
     if (portLatency == 0)
         throw std::invalid_argument(
-            "CxlSwitchParams: zero port latency breaks the "
-            "parallel-engine lookahead");
+            "CxlSwitchParams: port latency must be nonzero");
     if (portGBps <= 0.0)
         throw std::invalid_argument(
             "CxlSwitchParams: port bandwidth must be positive");
@@ -363,9 +362,7 @@ CxlSwitch::completeAborted(std::uint32_t port, Op op, Tick now)
         board_->completeRequest(
             port, op.issued,
             now + params_.abortLatency + params_.portLatency);
-    // Delivery tick includes the port latency, like every completion:
-    // the caller may rely on a >= portLatency gap between the fabric
-    // tick and the delivery tick (parallel-engine lookahead).
+    // Delivery tick includes the port latency, like every completion.
     eq_.schedule(now + params_.abortLatency,
                  [this, done = std::move(op.done), st]() mutable {
                      ++retired_;

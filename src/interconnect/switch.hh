@@ -66,9 +66,7 @@ struct CxlSwitchParams
 
     std::uint32_t ports = 2; //!< upstream host ports
 
-    /** Host <-> switch one-way port latency. Also the natural
-     *  parallel-engine lookahead of a pooled cluster: every
-     *  cross-domain path crosses a port. */
+    /** Host <-> switch one-way port latency. */
     Tick portLatency = ticksFromNs(12.0);
 
     /** Crossbar decode/forward pipeline latency per message. */

@@ -300,8 +300,7 @@ InterleavedMemory::InterleavedMemory(EventQueue &eq, const std::string &name,
                                      const DramChannelParams &channelParams,
                                      std::uint32_t numChannels,
                                      std::uint64_t interleaveBytes,
-                                     FaultInjector *faults,
-                                     const std::vector<EventQueue *> &channelQueues)
+                                     FaultInjector *faults)
     : eq_(eq), name_(name), interleaveBytes_(interleaveBytes)
 {
     if (numChannels == 0)
@@ -311,18 +310,12 @@ InterleavedMemory::InterleavedMemory(EventQueue &eq, const std::string &name,
         throw std::invalid_argument(
             "InterleavedMemory: interleave below line size splits "
             "transactions");
-    if (!channelQueues.empty()
-        && channelQueues.size() != numChannels)
-        throw std::invalid_argument(
-            "InterleavedMemory: channelQueues must match numChannels");
     channels_.reserve(numChannels);
     for (std::uint32_t i = 0; i < numChannels; ++i) {
         DramChannelParams p = channelParams;
         p.name = name + ".ch" + std::to_string(i);
-        EventQueue &chEq =
-            channelQueues.empty() ? eq : *channelQueues[i];
         channels_.push_back(
-            std::make_unique<DramChannel>(chEq, std::move(p), faults));
+            std::make_unique<DramChannel>(eq, std::move(p), faults));
     }
 }
 
@@ -344,10 +337,6 @@ InterleavedMemory::access(MemRequest req)
     const Addr local = (chunk / channels_.size()) * interleaveBytes_
                        + (req.addr % interleaveBytes_);
     req.addr = local;
-    if (hop_) {
-        hop_(ch, std::move(req));
-        return;
-    }
     channels_[ch]->access(std::move(req));
 }
 

@@ -25,7 +25,6 @@
 #define CXLMEMO_MEM_DRAM_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,18 +205,12 @@ class InterleavedMemory : public MemoryDevice
      * @param interleaveBytes channel-interleave granularity
      *        (SPR interleaves at 256 B across iMC channels)
      * @param faults optional fault injector shared by all channels
-     * @param channelQueues when non-empty, one EventQueue per channel
-     *        (size must equal @p numChannels): channel @p i runs on
-     *        *channelQueues[i] instead of @p eq. Used by the parallel
-     *        engine to give each channel its own simulation domain;
-     *        requests must then be routed via setChannelHop.
      */
     InterleavedMemory(EventQueue &eq, const std::string &name,
                       const DramChannelParams &channelParams,
                       std::uint32_t numChannels,
                       std::uint64_t interleaveBytes = 256,
-                      FaultInjector *faults = nullptr,
-                      const std::vector<EventQueue *> &channelQueues = {});
+                      FaultInjector *faults = nullptr);
 
     void access(MemRequest req) override;
     const std::string &name() const override { return name_; }
@@ -256,25 +249,12 @@ class InterleavedMemory : public MemoryDevice
             ch->setStation(station);
     }
 
-    /**
-     * Divert channel dispatch: access() still selects the channel and
-     * compacts the address, but then hands (channel, request) to
-     * @p hop instead of calling DramChannel::access directly. The
-     * parallel engine uses this to post the request into the channel's
-     * domain; the hop must eventually deliver it to channel(ch).
-     */
-    void setChannelHop(std::function<void(std::uint32_t, MemRequest)> hop)
-    {
-        hop_ = std::move(hop);
-    }
-
   private:
     EventQueue &eq_;
     std::string name_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
     std::uint64_t interleaveBytes_;
     std::unique_ptr<LatencyHistogram> latHist_;
-    std::function<void(std::uint32_t, MemRequest)> hop_;
 };
 
 } // namespace cxlmemo

@@ -46,13 +46,13 @@ windowedBandwidth(Machine &m, std::uint32_t threads,
         pool.back()->start(makeStream(t), 0, nullptr);
     }
 
-    m.runUntil(ticksFromUs(opts.warmupUs));
+    m.eq().runUntil(ticksFromUs(opts.warmupUs));
     std::uint64_t before = 0;
     for (const auto &t : pool)
         before += threadBytes(*t);
 
     const Tick window = ticksFromUs(opts.measureUs);
-    m.runUntil(ticksFromUs(opts.warmupUs) + window);
+    m.eq().runUntil(ticksFromUs(opts.warmupUs) + window);
     std::uint64_t after = 0;
     for (const auto &t : pool)
         after += threadBytes(*t);
@@ -172,7 +172,7 @@ runLoadedLatency(Target target, std::uint32_t threads,
                 endlessBytes, MemOp::Kind::Load),
             0, nullptr);
     }
-    m->runUntil(ticksFromUs(opts.warmupUs));
+    m->eq().runUntil(ticksFromUs(opts.warmupUs));
 
     // ...plus a dependent-load probe in its own region.
     constexpr std::uint64_t probe_accesses = 3000;
@@ -192,7 +192,7 @@ runLoadedLatency(Target target, std::uint32_t threads,
     });
     while (!done) {
         const Tick horizon = m->eq().curTick() + ticksFromUs(50.0);
-        if (m->runUntil(horizon) && !done)
+        if (m->eq().runUntil(horizon) && !done)
             CXLMEMO_PANIC("probe starved: event queue drained");
     }
     exportRas(*m, rasOut);
@@ -222,7 +222,7 @@ runLoadedLatencyDist(Target target, std::uint32_t threads,
                 endlessBytes, MemOp::Kind::Load),
             0, nullptr);
     }
-    m->runUntil(ticksFromUs(opts.warmupUs));
+    m->eq().runUntil(ticksFromUs(opts.warmupUs));
 
     // Serial dependent loads at random lines, timed per window: a
     // recovery episode (link retry, timeout+backoff, stall) lands in
@@ -254,7 +254,7 @@ runLoadedLatencyDist(Target target, std::uint32_t threads,
         });
         while (!done) {
             const Tick horizon = m->eq().curTick() + ticksFromUs(50.0);
-            if (m->runUntil(horizon) && !done)
+            if (m->eq().runUntil(horizon) && !done)
                 CXLMEMO_PANIC("probe starved: event queue drained");
         }
         window_ns.record(nsFromTicks(end - start) / opsPerWindow);

@@ -230,11 +230,6 @@ cliUsage()
         "  --seed    N   workload RNG seed           (default 42)\n"
         "  --jobs/-j N   host threads for sweep points (default 1;\n"
         "                0 = all cores; output identical for any N)\n"
-        "  --sim-threads N   parallel intra-machine simulation:\n"
-        "                domain-partitioned event queues on N worker\n"
-        "                threads (default 0 = classic single-queue\n"
-        "                engine; output byte-identical for any N >= 1;\n"
-        "                incompatible with --trace-out)\n"
         "  --fault-spec  key=value[,...] RAS fault injection:\n"
         "                crc= poison= timeout= drain= dram= (rates in\n"
         "                [0,1]), stall-ns= timeout-ns= backoff-ns=\n"
@@ -288,7 +283,7 @@ cliUsage()
         "                with the full per-stage bracket -- tail_*\n"
         "                CSV columns, a dedicated tail track in\n"
         "                --trace-out, and the watchdog post-mortem\n"
-        "                (works with --sim-threads and in pool mode)\n"
+        "                (works in pool mode too)\n"
         "  --json        diff mode: machine-readable JSON verdict\n"
         "  --diff-threshold P   diff mode: no-change band in percent\n"
         "                (default 5)\n"
@@ -494,19 +489,6 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
             }
             cfg.jobs = static_cast<std::uint32_t>(*j);
             ++i;
-        } else if (a == "--sim-threads") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto s = parseSize(*v);
-            if (!s || *s > 256) {
-                // 0 is the documented classic-engine default and is
-                // accepted explicitly (scripts spell out the matrix).
-                error = "bad sim-threads count (0..256): " + *v;
-                return std::nullopt;
-            }
-            cfg.simThreads = static_cast<std::uint32_t>(*s);
-            ++i;
         } else if (a == "--fault-spec") {
             auto v = need(i);
             if (!v)
@@ -585,6 +567,7 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
                 return std::nullopt;
             }
             cfg.watchdogUs = static_cast<double>(*n) / 1000.0;
+            ++i;
         } else if (a == "--trace-out") {
             auto v = need(i);
             if (!v)
@@ -695,17 +678,9 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
         return std::nullopt;
     }
     // Flag matrix, rejected up front with one line instead of a
-    // mid-run throw: request-lifecycle tracing marks spans across
-    // domains, so it needs the classic single-queue engine in every
-    // mode. Worst-K tail capture (--tail-trace) is completion-order
-    // independent and works on both engines. Diff mode compares
-    // finished runs -- it simulates nothing, so every simulation
-    // flag is a mistake worth naming rather than ignoring.
-    if (cfg.simThreads > 0
-        && (!cfg.traceOut.empty() || cfg.traceSampleEvery > 0)) {
-        error = "--trace-out/--trace-sample require --sim-threads 0";
-        return std::nullopt;
-    }
+    // mid-run throw. Diff mode compares finished runs -- it simulates
+    // nothing, so every simulation flag is a mistake worth naming
+    // rather than ignoring.
     if (cfg.mode == CliMode::Diff) {
         if (cfg.diffA.empty() || cfg.diffB.empty()) {
             error = "diff requires two CSV files "
@@ -716,8 +691,7 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
             || !cfg.traceOut.empty() || cfg.traceSampleEvery > 0
             || !cfg.metricsOut.empty() || cfg.metricsIntervalNs > 0
             || cfg.faults.enabled() || cfg.qos.enabled()
-            || cfg.chaos.enabled() || cfg.watchdogUs > 0.0
-            || cfg.simThreads > 0) {
+            || cfg.chaos.enabled() || cfg.watchdogUs > 0.0) {
             error = "diff mode compares finished runs and takes no "
                     "simulation flags";
             return std::nullopt;
@@ -895,8 +869,7 @@ collectPoint(Machine &m, std::optional<Target> target, int pid,
     if (auto qs = m.qosStats())
         p.qos = *qs;
     // Merge (not assign): a point that builds several machines (the
-    // latency probes) accumulates one exact roll-up. attribSnapshot()
-    // folds in the per-domain shard boards of the parallel engine.
+    // latency probes) accumulates one exact roll-up.
     if (m.attribution())
         p.attrib.merge(m.attribSnapshot());
     if (!collectObs)
@@ -1219,7 +1192,6 @@ runCli(const CliConfig &cfg)
     opts.qos = cfg.qos;
     opts.chaos = cfg.chaos;
     opts.watchdogUs = cfg.watchdogUs;
-    opts.simThreads = cfg.simThreads;
     opts.obs = cfg.observability();
     // The drill always has RAS counters (it arms a poison stream for
     // the offlining leg even with no --fault-spec), so its CSV rows

@@ -92,12 +92,6 @@ struct CliConfig
      */
     std::uint32_t jobs = 1;
 
-    /** Worker threads for the domain-partitioned parallel simulation
-     *  engine (`--sim-threads`): 0 (the default) keeps the classic
-     *  single-queue engine; any value >= 1 enables domain
-     *  partitioning, with output byte-identical at every count. */
-    std::uint32_t simThreads = 0;
-
     /* -------------------- flight recorder ------------------------ */
 
     /** Chrome trace-event JSON output file (`--trace-out`); empty

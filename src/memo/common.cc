@@ -42,7 +42,6 @@ makeMachine(Target target, const Options &opts, bool prefetch)
     mo.qos = opts.qos;
     mo.chaos = opts.chaos;
     mo.obs = opts.obs;
-    mo.simThreads = opts.simThreads;
     if (opts.watchdogUs > 0.0)
         mo.watchdogInterval = ticksFromUs(opts.watchdogUs);
     const Testbed tb = target == Target::Ddr5Remote
@@ -81,7 +80,7 @@ runStream(Machine &m, std::uint16_t core,
     // The watchdog stands down when the queue quiesces between
     // streams; restart its snapshot cycle for this stream's run.
     m.rearmWatchdog();
-    m.run();
+    m.eq().run();
     CXLMEMO_ASSERT(thread.finished(), "stream did not finish");
     return {start, end};
 }

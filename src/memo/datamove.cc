@@ -139,12 +139,12 @@ runMovdirBandwidth(CopyPath path, std::uint32_t threads,
             0, nullptr);
     }
 
-    m->runUntil(ticksFromUs(opts.warmupUs));
+    m->eq().runUntil(ticksFromUs(opts.warmupUs));
     std::uint64_t before = 0;
     for (const auto &t : pool)
         before += t->stats().bytesWritten;
     const Tick window = ticksFromUs(opts.measureUs);
-    m->runUntil(ticksFromUs(opts.warmupUs) + window);
+    m->eq().runUntil(ticksFromUs(opts.warmupUs) + window);
     std::uint64_t after = 0;
     for (const auto &t : pool)
         after += t->stats().bytesWritten;
@@ -171,10 +171,10 @@ runCopyBandwidth(CopyPath path, CopyMethod method, std::uint32_t batch,
                           src, 0, dst, 0, copyRegion,
                           method == CopyMethod::Memcpy),
                       0, nullptr);
-        m->runUntil(ticksFromUs(opts.warmupUs));
+        m->eq().runUntil(ticksFromUs(opts.warmupUs));
         const std::uint64_t before = thread->stats().bytesWritten;
         const Tick window = ticksFromUs(opts.measureUs);
-        m->runUntil(ticksFromUs(opts.warmupUs) + window);
+        m->eq().runUntil(ticksFromUs(opts.warmupUs) + window);
         const double gbps =
             gbPerSec(thread->stats().bytesWritten - before, window);
         if (opts.onMachineDone)
@@ -255,10 +255,10 @@ runCopyBandwidth(CopyPath path, CopyMethod method, std::uint32_t batch,
                   batch,     target_in_flight};
     m->eq().schedule(0, [&driver] { driver.pump(); });
 
-    m->runUntil(ticksFromUs(opts.warmupUs));
+    m->eq().runUntil(ticksFromUs(opts.warmupUs));
     const std::uint64_t before = dsa.bytesCopied();
     const Tick window = ticksFromUs(opts.measureUs);
-    m->runUntil(ticksFromUs(opts.warmupUs) + window);
+    m->eq().runUntil(ticksFromUs(opts.warmupUs) + window);
     const double gbps = gbPerSec(dsa.bytesCopied() - before, window);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);

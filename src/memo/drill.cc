@@ -128,9 +128,9 @@ runDrill(std::uint32_t threads, const Options &opts)
         return sum;
     };
     const auto windowGBps = [&](Tick from, Tick to) {
-        m->runUntil(from);
+        m->eq().runUntil(from);
         const std::uint64_t before = bytesNow();
-        m->runUntil(to);
+        m->eq().runUntil(to);
         return gbPerSec(bytesNow() - before, to - from);
     };
 
@@ -168,7 +168,7 @@ runDrill(std::uint32_t threads, const Options &opts)
     // Let in-flight recovery work (aborts, migrations) finish. The
     // flood streams are endless, so run a bounded tail rather than
     // draining the queue.
-    m->runUntil(m->eq().curTick() + ticksFromUs(10.0));
+    m->eq().runUntil(m->eq().curTick() + ticksFromUs(10.0));
 
     const ChaosStats cs = m->chaosStats();
     res.chaos.dataAtRiskBytes =

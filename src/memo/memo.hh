@@ -72,11 +72,6 @@ struct Options
      *  by default. */
     ObservabilityOptions obs;
 
-    /** Worker threads for the domain-partitioned parallel simulation
-     *  engine; 0 (the default) keeps the classic single-queue engine
-     *  (see MachineOptions::simThreads for the contract). */
-    std::uint32_t simThreads = 0;
-
     /**
      * Invoked on each experiment Machine after its run completes and
      * before the machine is destroyed -- the collection point for
@@ -252,8 +247,8 @@ struct PoolResult
  * runs (in parallel when @p jobs > 1, results merged positionally)
  * and the victim digests are compared for the blast-radius invariant.
  * Each cluster runs to quiescence (every op completes or aborts, all
- * fencing and scrubbing settles); opts.simThreads and opts.watchdogUs
- * carry over (the workload seed lives in the spec).
+ * fencing and scrubbing settles); opts.watchdogUs carries over (the
+ * workload seed lives in the spec).
  */
 PoolResult runPool(const PoolSpec &spec, const Options &opts = {},
                    unsigned jobs = 1);

@@ -53,13 +53,13 @@ runOverloadPoint(std::uint32_t threads, const Options &opts)
             0, nullptr);
     }
 
-    m->runUntil(ticksFromUs(opts.warmupUs));
+    m->eq().runUntil(ticksFromUs(opts.warmupUs));
     std::uint64_t before = 0;
     for (const auto &t : pool)
         before += t->stats().bytesWritten;
 
     const Tick window = ticksFromUs(opts.measureUs);
-    m->runUntil(ticksFromUs(opts.warmupUs) + window);
+    m->eq().runUntil(ticksFromUs(opts.warmupUs) + window);
     std::uint64_t after = 0;
     for (const auto &t : pool)
         after += t->stats().bytesWritten;
@@ -103,7 +103,7 @@ runOverloadPoint(std::uint32_t threads, const Options &opts)
         });
         while (!done) {
             const Tick horizon = m->eq().curTick() + ticksFromUs(50.0);
-            if (m->runUntil(horizon) && !done)
+            if (m->eq().runUntil(horizon) && !done)
                 CXLMEMO_PANIC("probe starved: event queue drained");
         }
         window_ns.record(nsFromTicks(end - start) / opsPerWindow);

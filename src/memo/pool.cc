@@ -29,7 +29,6 @@ runPool(const PoolSpec &spec, const Options &opts, unsigned jobs)
     spec.validate();
 
     Cluster::Options co;
-    co.simThreads = opts.simThreads;
     co.watchdogUs = opts.watchdogUs;
 
     PoolResult res;

@@ -134,76 +134,6 @@ class EventQueue
     }
 
     /**
-     * Earliest pending event time, without disturbing queue state;
-     * maxTick when empty. The parallel executor uses this to pick the
-     * next safe-window start across domains.
-     */
-    Tick
-    peekNextTick() const
-    {
-        if (size_ == 0)
-            return maxTick;
-        Tick best = maxTick;
-        if (activeIdx_ < order_.size())
-            best = activeWindowStart_ + (order_[activeIdx_] >> 32);
-        if (!far_.empty() && far_.front().when < best)
-            best = far_.front().when;
-        if (wheelCount_ > 0) {
-            // Same occupancy-bitmap scan as loadNextWindow, minus the
-            // mutation: find the first populated window, then take the
-            // min tick inside its (unsorted) bucket.
-            const Tick startTick =
-                std::max(nextScanWindow_, windowStart(curTick_));
-            const std::size_t s = windowIndex(startTick);
-            std::size_t word = s >> 6;
-            std::uint64_t bits =
-                occ_[word] & (~std::uint64_t(0) << (s & 63));
-            while (bits == 0) {
-                word = (word + 1) % occWords;
-                bits = occ_[word];
-            }
-            const std::size_t b = (word << 6) + std::countr_zero(bits);
-            for (const Event &ev : wheel_[b])
-                if (ev.when < best)
-                    best = ev.when;
-        }
-        return best;
-    }
-
-    /**
-     * Mark the queue as being driven from outside runUntil(): the
-     * parallel executor delivers staged cross-window callbacks by
-     * invoking them directly at the window barrier. While driven, the
-     * usual reentrancy rules apply exactly as inside a callback --
-     * schedule() is fine, reset()/runUntil() assert.
-     */
-    void
-    beginExternalDrive()
-    {
-        CXLMEMO_ASSERT(!running_ && !driven_,
-                       "beginExternalDrive on a queue already running");
-        driven_ = true;
-    }
-
-    void
-    endExternalDrive()
-    {
-        CXLMEMO_ASSERT(driven_, "endExternalDrive without begin");
-        driven_ = false;
-    }
-
-    /** Advance time to @p now without executing anything (used by the
-     *  parallel executor to align an idle domain with the barrier). */
-    void
-    advanceTo(Tick now)
-    {
-        CXLMEMO_ASSERT(now >= curTick_, "advanceTo into the past");
-        CXLMEMO_ASSERT(peekNextTick() >= now,
-                       "advanceTo skipping pending events");
-        curTick_ = now;
-    }
-
-    /**
      * Run events until the queue drains or @p limit is reached.
      * Events scheduled exactly at @p limit still execute.
      * @return true if the queue drained, false if the limit stopped us.
@@ -211,8 +141,7 @@ class EventQueue
     bool
     runUntil(Tick limit)
     {
-        CXLMEMO_ASSERT(!running_ && !driven_,
-                       "runUntil called from a callback");
+        CXLMEMO_ASSERT(!running_, "runUntil called from a callback");
         running_ = true;
         while (size_ > 0) {
             // Lazily sort the next populated wheel window once the
@@ -287,12 +216,7 @@ class EventQueue
     void
     reset()
     {
-        // Staged cross-window callbacks run under an external drive
-        // rather than runUntil, so the reentrancy assert must cover
-        // both flags -- resetting mid-delivery would free events the
-        // executor still holds.
-        CXLMEMO_ASSERT(!running_ && !driven_,
-                       "reset called from a callback");
+        CXLMEMO_ASSERT(!running_, "reset called from a callback");
         for (auto &bucket : wheel_)
             bucket.clear();
         for (auto &word : occ_)
@@ -440,7 +364,6 @@ class EventQueue
     std::size_t wheelCount_ = 0;
     std::size_t size_ = 0;
     bool running_ = false;
-    bool driven_ = false; //!< inside beginExternalDrive/endExternalDrive
 
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;

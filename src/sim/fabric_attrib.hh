@@ -26,11 +26,9 @@
  * Contract (identical to the host-side board): constructed only when
  * `obs.attribution` is set, every instrumentation site is a null
  * pointer test otherwise; enabling it never schedules events, so
- * simulated results are bit-identical either way; all accounting
- * happens on the fabric domain, so parallel (`--sim-threads`) runs
- * produce byte-identical snapshots; FabricPortSnap/FabricSnapshot
- * merge exactly and associatively for `--jobs` sweeps, and the
- * cluster-wide roll-up is the same merge applied across ports.
+ * simulated results are bit-identical either way; FabricPortSnap and
+ * FabricSnapshot merge exactly and associatively for `--jobs` sweeps,
+ * and the cluster-wide roll-up is the same merge applied across ports.
  */
 
 #ifndef CXLMEMO_SIM_FABRIC_ATTRIB_HH
@@ -166,7 +164,7 @@ struct FabricSnapshot
  * Per-cluster registry: five AccountedStations per switch port plus a
  * per-port end-to-end bracket. Constructed only when fabric
  * attribution is enabled; the switch holds a pointer that is null
- * otherwise. All mutation happens on the fabric event domain.
+ * otherwise. All mutation happens on the cluster event queue.
  */
 class FabricBoard
 {

@@ -177,29 +177,11 @@ class MetricsSampler
         if (armed_ || interval_ == 0)
             return;
         armed_ = true;
-        if (onSchedule_)
-            onSchedule_(eq_.curTick() + interval_);
         eq_.scheduleIn(interval_, [this] { sample(); });
     }
 
     bool armed() const { return armed_; }
     Tick interval() const { return interval_; }
-
-    /**
-     * Parallel-engine hooks. A snapshot reads counters owned by other
-     * simulation domains, so it must run at a globally quiesced tick:
-     * @p onSchedule is told every absolute snapshot tick (the Machine
-     * registers it as an executor fence) and @p pending replaces
-     * eq.pending() as the keep-alive test (the local domain queue may
-     * be empty while other domains still carry the work).
-     */
-    void
-    setParallelHooks(std::function<std::size_t()> pending,
-                     std::function<void(Tick)> onSchedule)
-    {
-        pendingHook_ = std::move(pending);
-        onSchedule_ = std::move(onSchedule);
-    }
 
   private:
     void
@@ -207,9 +189,7 @@ class MetricsSampler
     {
         armed_ = false;
         registry_.snapshot(eq_.curTick());
-        const std::size_t left =
-            pendingHook_ ? pendingHook_() : eq_.pending();
-        if (left > 0)
+        if (eq_.pending() > 0)
             arm();
     }
 
@@ -217,8 +197,6 @@ class MetricsSampler
     MetricsRegistry &registry_;
     Tick interval_;
     bool armed_ = false;
-    std::function<std::size_t()> pendingHook_;
-    std::function<void(Tick)> onSchedule_;
 };
 
 } // namespace cxlmemo

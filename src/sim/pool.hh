@@ -6,8 +6,7 @@
  * figure. Most captures fit InlineCallback's inline buffer, but the
  * ones that carry a whole MemRequest (device dispatches, completion
  * chains, far-heap event nodes) spill to a heap cell -- previously a
- * global new/delete pair per event, which serializes on the allocator
- * lock under the parallel engine and costs ~5% of single-thread time.
+ * global new/delete pair per event, which costs ~5% of run time.
  *
  * poolAlloc/poolFree replace that pair with per-thread size-class
  * free lists:
@@ -16,9 +15,9 @@
  *    through to operator new (they are cold: sweep setup, reports);
  *  - a freed cell goes onto the *freeing* thread's list, so no
  *    cross-thread bookkeeping exists and the structure is trivially
- *    thread-safe. Under the parallel engine a cell allocated in one
- *    domain and freed in another simply migrates; list lengths are
- *    capped, so migration cannot accumulate unbounded memory;
+ *    thread-safe. A cell allocated on one thread and freed on
+ *    another simply migrates; list lengths are capped, so migration
+ *    cannot accumulate unbounded memory;
  *  - each list is drained back to operator delete when its thread
  *    exits.
  *

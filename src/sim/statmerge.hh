@@ -3,10 +3,10 @@
  * Shared merge primitives for mergeable stats structs.
  *
  * Every observability layer carries plain counter structs that must
- * merge associatively across `--jobs` shards and `--sim-threads`
- * domains: monotone counters add, one-shot timestamps take the max
- * (each side owns its own events, so at most one side holds a nonzero
- * value; concurrent nonzeros take the later one). Before this header
+ * merge associatively across `--jobs` shards: monotone counters add,
+ * one-shot timestamps take the max (each side owns its own events, so
+ * at most one side holds a nonzero value; concurrent nonzeros take the
+ * later one). Before this header
  * each struct hand-rolled its own merge() and the audit lived in the
  * reviewer's head; now the two rules are single fold-expressions and
  * a struct's merge() is a member list, which test_observability can

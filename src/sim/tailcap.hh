@@ -19,7 +19,7 @@
  *    under a strict total order (latency desc, then start tick asc,
  *    then span id asc, then source asc), so it is independent of
  *    completion/insertion order -- byte-identical at every `--jobs`
- *    and every `--sim-threads >= 1` count;
+ *    count;
  *  - merge() is the exact associative top-K union, so per-shard
  *    captures combine in any grouping;
  *  - a span's per-stage breakdown telescopes over its marks, so the

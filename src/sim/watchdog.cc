@@ -40,8 +40,6 @@ Watchdog::arm()
     // mistaken for progress within the next interval, and vice versa.
     lastRetired_ = totalRetired();
     strikes_ = 0;
-    if (onSchedule_)
-        onSchedule_(eq_.curTick() + params_.interval);
     eq_.scheduleIn(params_.interval, [this] { snapshot(); });
 }
 
@@ -79,9 +77,7 @@ Watchdog::snapshot()
     }
     lastRetired_ = retired;
 
-    const std::size_t left =
-        pendingHook_ ? pendingHook_() : eq_.pending();
-    if (left > 0) {
+    if (eq_.pending() > 0) {
         arm();
     } else if (outstanding > 0) {
         trip("event queue drained with "

@@ -137,23 +137,6 @@ class Watchdog
     std::uint64_t snapshots() const { return snapshots_; }
     bool armed() const { return armed_; }
 
-    /**
-     * Parallel-engine hooks. A snapshot reads progress counters owned
-     * by other simulation domains, so it must run at a globally
-     * quiesced tick: @p onSchedule is told every absolute snapshot
-     * tick (the Machine registers it as an executor fence) and
-     * @p pending replaces eq.pending() in the deadlock test -- the
-     * watchdog's own queue may be empty while other domains still
-     * carry the work that will complete the outstanding requests.
-     */
-    void
-    setParallelHooks(std::function<std::size_t()> pending,
-                     std::function<void(Tick)> onSchedule)
-    {
-        pendingHook_ = std::move(pending);
-        onSchedule_ = std::move(onSchedule);
-    }
-
   private:
     void snapshot();
     void trip(const std::string &why);
@@ -165,9 +148,6 @@ class Watchdog
     std::vector<ProgressSource *> sources_;
     std::vector<std::function<std::string()>> postMortems_;
     TripHandler onTrip_;
-
-    std::function<std::size_t()> pendingHook_;
-    std::function<void(Tick)> onSchedule_;
 
     bool armed_ = false;
     bool tripped_ = false;

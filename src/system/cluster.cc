@@ -301,20 +301,6 @@ Cluster::Cluster(const PoolSpec &spec, Options opts)
     sp.wrCredits = spec_.credits;
     sp.arb = spec_.arb;
 
-    const bool par = opts_.simThreads > 0;
-    if (par) {
-        std::vector<EventQueue *> ranks;
-        ranks.push_back(&eq_);
-        for (std::uint32_t h = 0; h < spec_.hosts; ++h) {
-            hostQueues_.push_back(std::make_unique<EventQueue>());
-            ranks.push_back(hostQueues_.back().get());
-        }
-        // Every cross-domain message crosses a switch port, so the
-        // one-way port latency is an exact conservative lookahead.
-        exec_ = std::make_unique<ParallelExecutor>(
-            std::move(ranks), sp.portLatency, opts_.simThreads);
-    }
-
     std::vector<MemoryDevice *> downstream;
     for (std::uint32_t d = 0; d < spec_.devices; ++d) {
         CxlDeviceParams dp = testbed_params::agilexCxlDevice();
@@ -391,14 +377,6 @@ Cluster::Cluster(const PoolSpec &spec, Options opts)
         watchdog_->watch(sw_.get());
         for (auto &d : devices_)
             watchdog_->watch(d.get());
-        if (exec_) {
-            // Staged cross-host outboxes count as pending work:
-            // without this a drained fabric queue between windows
-            // looks like a deadlock while host posts are in flight.
-            watchdog_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
         watchdog_->setOnTrip([this](const std::string &report) {
             watchdogTripped_ = true;
             watchdogReport_ = report;
@@ -412,22 +390,13 @@ void
 Cluster::setupObservability()
 {
     const ObservabilityOptions &obs = opts_.obs;
-    // Tracing marks spans on both the host and fabric domains, so it
-    // needs the classic engine. Same restriction (and message shape)
-    // as the Machine.
-    if (obs.traceSampleEvery > 0 && opts_.simThreads > 0)
-        throw std::invalid_argument(
-            "Cluster: request-lifecycle tracing requires the "
-            "single-queue engine (simThreads = 0)");
     if (obs.attribution) {
         board_ = std::make_unique<FabricBoard>(spec_.hosts,
                                                spec_.devices, 0);
         sw_->setFabricBoard(board_.get());
     }
-    // Tail capture rides the tracer plumbing but is parallel-safe: a
-    // span is touched by one domain at a time (host issues/finishes,
-    // fabric marks in between with causal handoffs through the
-    // executor) and the worst-K set is completion-order independent.
+    // Tail capture rides the tracer plumbing (sampling 0-in-N when
+    // only tail capture is armed).
     if (obs.traceSampleEvery > 0 || obs.tailK > 0) {
         for (auto &H : hosts_) {
             H.tracer = std::make_unique<RequestTracer>(
@@ -443,14 +412,6 @@ Cluster::setupObservability()
         registerMetrics();
         sampler_ = std::make_unique<MetricsSampler>(eq_, *metrics_,
                                                     obs.metricsInterval);
-        if (exec_) {
-            // A snapshot reads fabric-domain state; fence every
-            // snapshot tick so it observes a globally quiesced fabric
-            // (same hooks as the watchdog above).
-            sampler_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
     }
     if (watchdog_) {
         for (auto &H : hosts_) {
@@ -553,36 +514,6 @@ Cluster::registerMetrics()
 
 Cluster::~Cluster() = default;
 
-EventQueue &
-Cluster::hostQueue(std::uint32_t host)
-{
-    return exec_ ? *hostQueues_[host] : eq_;
-}
-
-void
-Cluster::postToFabric(std::uint32_t host, Tick when,
-                      EventQueue::Callback cb)
-{
-    if (exec_) {
-        exec_->post(1 + host, 0, when,
-                    [cb = std::move(cb)](Tick) mutable { cb(); });
-    } else {
-        eq_.schedule(when, std::move(cb));
-    }
-}
-
-void
-Cluster::postToHost(std::uint32_t host, Tick when,
-                    EventQueue::Callback cb)
-{
-    if (exec_) {
-        exec_->post(0, 1 + host, when,
-                    [cb = std::move(cb)](Tick) mutable { cb(); });
-    } else {
-        eq_.schedule(when, std::move(cb));
-    }
-}
-
 std::uint64_t
 Cluster::missValue(std::uint32_t dev, Addr addr) const
 {
@@ -652,7 +583,7 @@ Cluster::issueSlot(std::uint32_t host, std::uint32_t slot)
     const std::uint64_t value =
         splitMix64(spec_.seed ^ (std::uint64_t(host) << 40)
                    ^ (std::uint64_t(slot) << 32) ^ opIdx);
-    const Tick issued = hostQueue(host).curTick();
+    const Tick issued = eq_.curTick();
     S.issueTick = issued;
     TraceSpan *span = nullptr;
     if (H.tracer) {
@@ -667,15 +598,13 @@ Cluster::issueSlot(std::uint32_t host, std::uint32_t slot)
     CxlSwitch::Done done =
         [this, host, slot, opIdx, hostAddr, cmd, issued](
             Tick d, CxlSwitch::Status st, std::uint64_t v) {
-            postToHost(host, d,
-                       [this, host, slot, opIdx, hostAddr, cmd, issued,
-                        st, v] {
-                           slotDone(host, slot, opIdx, hostAddr, cmd,
-                                    issued, hostQueue(host).curTick(),
-                                    st, v);
-                       });
+            eq_.schedule(d, [this, host, slot, opIdx, hostAddr, cmd,
+                             issued, st, v] {
+                slotDone(host, slot, opIdx, hostAddr, cmd, issued,
+                         eq_.curTick(), st, v);
+            });
         };
-    postToFabric(host, issued + sw_->params().portLatency,
+    eq_.schedule(issued + sw_->params().portLatency,
                  [this, host, cmd, hostAddr, value, issued, span,
                   done = std::move(done)]() mutable {
                      submitFromHost(host, cmd, hostAddr, value, issued,
@@ -741,7 +670,7 @@ Cluster::hostComplete(std::uint32_t host, Tick at)
     if (H.complete)
         return;
     H.complete = true;
-    postToFabric(host, at + sw_->params().portLatency,
+    eq_.schedule(at + sw_->params().portLatency,
                  [this, host] { beatDone_[host] = true; });
 }
 
@@ -751,12 +680,12 @@ Cluster::beat(std::uint32_t host)
     Host &H = hosts_[host];
     if (H.complete || H.crashed)
         return;
-    const Tick now = hostQueue(host).curTick();
-    postToFabric(host, now + sw_->params().portLatency, [this, host] {
+    const Tick now = eq_.curTick();
+    eq_.schedule(now + sw_->params().portLatency, [this, host] {
         lastBeat_[host] = eq_.curTick();
     });
-    hostQueue(host).schedule(now + ticksFromNs(spec_.fenceCheckNs),
-                             [this, host] { beat(host); });
+    eq_.schedule(now + ticksFromNs(spec_.fenceCheckNs),
+                 [this, host] { beat(host); });
 }
 
 void
@@ -822,13 +751,13 @@ Cluster::fenceCheck()
 ClusterResult
 Cluster::run()
 {
-    // Host-domain kickoff: crash schedule, heartbeats, initial window
-    // of closed-loop slots.
+    // Host kickoff: crash schedule, heartbeats, initial window of
+    // closed-loop slots.
     for (std::uint32_t h = 0; h < spec_.hosts; ++h) {
-        hostQueue(h).schedule(0, [this, h] {
+        eq_.schedule(0, [this, h] {
             Host &H = hosts_[h];
             if (static_cast<std::int32_t>(h) == spec_.crashHost) {
-                hostQueue(h).schedule(
+                eq_.schedule(
                     ticksFromNs(spec_.crashAtNs),
                     [this, h] { hosts_[h].crashed = true; });
             }
@@ -845,7 +774,7 @@ Cluster::run()
             }
         });
     }
-    // Fabric-domain kickoff: fence checker and the port-outage drill.
+    // Fabric kickoff: fence checker and the port-outage drill.
     checkerArmed_ = true;
     eq_.schedule(ticksFromNs(spec_.fenceCheckNs),
                  [this] { fenceCheck(); });
@@ -863,13 +792,10 @@ Cluster::run()
 
     const Tick limit =
         opts_.limitUs > 0.0 ? ticksFromUs(opts_.limitUs) : maxTick;
-    if (exec_)
-        exec_->run(limit);
-    else
-        eq_.runUntil(limit);
+    eq_.runUntil(limit);
 
     ClusterResult res;
-    res.endTick = exec_ ? exec_->curTick() : eq_.curTick();
+    res.endTick = eq_.curTick();
     ledgerAllOk_ = ledgerAllOk_ && pool_->ledgerOk()
                    && sw_->creditLedgerOk();
     res.ledgerOk = ledgerAllOk_;
@@ -1046,8 +972,7 @@ Cluster::attributionVerdict() const
     // whether or not attribution is enabled.
     std::string fabricSuffix;
     if (board_) {
-        const Tick now = exec_ ? exec_->curTick() : eq_.curTick();
-        fabricSuffix = " " + board_->snapshot(now).verdict();
+        fabricSuffix = " " + board_->snapshot(eq_.curTick()).verdict();
     }
     std::uint64_t total = 0;
     for (std::uint32_t h = 0; h < spec_.hosts; ++h)
@@ -1102,7 +1027,6 @@ void
 Cluster::inject(std::uint32_t host, MemCmd cmd, Addr hostAddr,
                 std::uint64_t value, InjectDone done)
 {
-    CXLMEMO_ASSERT(!exec_, "inject() drives the classic engine only");
     const PoolManager::Loc loc = fenced_[host]
                                      ? PoolManager::Loc{}
                                      : pool_->translate(host, hostAddr);

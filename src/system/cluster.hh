@@ -12,12 +12,10 @@
  *     hostN-1 --portN-1--+   PoolManager (ownership ledger)
  *
  * Each host runs a closed-loop generator against its *exclusive*
- * pool window (granted by the PoolManager at setup). Under the
- * parallel engine every host is its own conservative domain (rank
- * 1 + host) and the fabric -- switch, devices, pool manager, fence
- * controller -- is rank 0; the one-way port latency is the lookahead,
- * so every cross-domain message crosses a real port and no delivery
- * is ever clamped.
+ * pool window (granted by the PoolManager at setup). Hosts and the
+ * fabric -- switch, devices, pool manager, fence controller -- share
+ * one event queue; every host <-> fabric message crosses a switch
+ * port and pays its one-way latency.
  *
  * Determinism and the blast-radius invariant
  * ------------------------------------------
@@ -64,7 +62,6 @@
 #include "sim/histogram.hh"
 #include "sim/metrics.hh"
 #include "sim/observability.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/tailcap.hh"
 #include "sim/trace.hh"
@@ -223,10 +220,6 @@ class Cluster
   public:
     struct Options
     {
-        /** 0 = classic single event queue; >0 = parallel engine with
-         *  one domain per host plus the fabric domain. */
-        std::uint32_t simThreads = 0;
-
         /** >= 0: isolation-baseline mode -- only this host issues its
          *  workload; every other host runs zero ops (but still holds
          *  its identical window grant). */
@@ -240,11 +233,7 @@ class Cluster
 
         /** Fabric observability (tracing / metrics / attribution /
          *  tail capture). All off by default; enabling any layer
-         *  never changes simulated results. Request-lifecycle tracing
-         *  requires the classic engine (simThreads == 0): spans are
-         *  marked on both the host and fabric domains. Worst-K tail
-         *  capture (obs.tailK) works on both engines -- the retained
-         *  set is completion-order independent by construction. */
+         *  never changes simulated results. */
         ObservabilityOptions obs;
     };
 
@@ -264,7 +253,6 @@ class Cluster
     PoolManager &pool() { return *pool_; }
     EventQueue &fabricQueue() { return eq_; }
     Watchdog *watchdog() { return watchdog_.get(); }
-    ParallelExecutor *executor() { return exec_.get(); }
     FabricBoard *fabricBoard() { return board_.get(); }
     MetricsRegistry *metricsRegistry() { return metrics_.get(); }
 
@@ -273,14 +261,13 @@ class Cluster
 
     /**
      * Inject one operation from @p host at the current fabric tick
-     * (classic mode only; litmus tests drive the shared device path
-     * directly). Crosses the port like workload traffic and applies
+     * (litmus tests drive the shared device path directly). Crosses the port like workload traffic and applies
      * the fabric-side poison shaping.
      */
     void inject(std::uint32_t host, MemCmd cmd, Addr hostAddr,
                 std::uint64_t value, InjectDone done);
 
-    /** Drive the fabric queue (classic mode only). */
+    /** Drive the cluster's event queue. */
     bool runFabricUntil(Tick limit) { return eq_.runUntil(limit); }
 
     /** Export every completed span as Chrome trace-event JSON (the
@@ -327,15 +314,6 @@ class Cluster
         std::unique_ptr<TailCapture> tailcap;
     };
 
-    EventQueue &hostQueue(std::uint32_t host);
-    /** Stage @p cb into the fabric domain at @p when (>= now + port
-     *  latency), from @p host's domain. */
-    void postToFabric(std::uint32_t host, Tick when,
-                      EventQueue::Callback cb);
-    /** Stage @p cb into @p host's domain at @p when, from the fabric. */
-    void postToHost(std::uint32_t host, Tick when,
-                    EventQueue::Callback cb);
-
     void issueSlot(std::uint32_t host, std::uint32_t slot);
     void slotDone(std::uint32_t host, std::uint32_t slot,
                   std::uint64_t opIdx, Addr hostAddr, MemCmd cmd,
@@ -360,9 +338,7 @@ class Cluster
     PoolSpec spec_;
     Options opts_;
 
-    EventQueue eq_; //!< fabric domain (rank 0)
-    std::vector<std::unique_ptr<EventQueue>> hostQueues_;
-    std::unique_ptr<ParallelExecutor> exec_;
+    EventQueue eq_;
 
     std::vector<std::unique_ptr<CxlMemDevice>> devices_;
     std::unique_ptr<CxlSwitch> sw_;
@@ -380,7 +356,7 @@ class Cluster
 
     std::vector<Host> hosts_;
 
-    /* Fabric-domain fencing state (only fabric callbacks touch it). */
+    /* Fabric-side fencing state (only fabric callbacks touch it). */
     std::vector<Tick> lastBeat_;
     std::vector<bool> beatDone_;   //!< host reported completion
     std::vector<bool> fenced_;

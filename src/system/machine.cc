@@ -1,6 +1,5 @@
 #include "system/machine.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -163,125 +162,6 @@ sprCore()
 
 } // namespace testbed_params
 
-namespace
-{
-
-/*
- * Parallel domain decomposition
- * -----------------------------
- * When MachineOptions::simThreads > 0 the machine is partitioned into
- * simulation domains, each with a private EventQueue driven by the
- * conservative window engine (sim/parallel.hh):
- *
- *   rank 0              host socket: cores, caches, DSA, throttle,
- *                       metrics, watchdog, host-side fault injector
- *   ranks 1..C          one per local DDR5 channel
- *   next rank           the remote socket (UPI + its DDR5), if any
- *   last rank           the CXL device (links, controller, DDR4)
- *
- * The lookahead is 5 ns, and the genuine cross-domain latencies are
- * *re-partitioned* so the end-to-end uncontended path is tick-exact
- * despite the two lookahead crossings a round trip pays:
- *
- *   local DDR5   tFrontend 10 ns -> 0    (absorbs both crossings)
- *   CXL link     propagation 12 ns -> 7  (absorbs one per direction)
- *   UPI hop      32 ns -> 27             (absorbs one per direction)
- *
- * Every cross-domain post therefore carries >= L of genuine latency
- * and the executor's window floor never engages (clampedPosts == 0).
- */
-constexpr Tick kDomainLookahead = ticksFromNs(5.0);
-
-/** splitmix-style decorrelation of the device-domain fault stream
- *  from the host-side injector's seed. */
-constexpr std::uint64_t kDevFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
-
-/**
- * Host-side stand-in, registered in the NUMA space, for a device that
- * lives in another simulation domain. Relays the access into the
- * device's domain (one lookahead crossing), relays acceptance and
- * completion back (another crossing), and replays the device-side
- * poison verdict into the host-side injector so the cache hierarchy's
- * consumption protocol is unchanged.
- */
-class DomainProxy final : public MemoryDevice
-{
-  public:
-    DomainProxy(ParallelExecutor &exec, EventQueue &hostEq,
-                std::uint32_t rank, MemoryDevice &target, Tick lookahead,
-                FaultInjector *hostFaults, FaultInjector *devFaults)
-        : exec_(exec), hostEq_(hostEq), rank_(rank), target_(target),
-          la_(lookahead), hostFaults_(hostFaults), devFaults_(devFaults)
-    {
-    }
-
-    const std::string &name() const override { return target_.name(); }
-
-    void
-    access(MemRequest req) override
-    {
-        // Wrap even a null onComplete when the device can poison: the
-        // verdict must travel back to arm the host-side injector.
-        if (req.onComplete || devFaults_) {
-            req.onComplete = [this, cb = std::move(req.onComplete)](
-                                 Tick t) mutable {
-                // Device side. The device arms poison immediately
-                // before invoking the completion, so consuming here
-                // captures the verdict (and keeps the device's own
-                // delivered-unconsumed check quiet).
-                const bool poisoned =
-                    devFaults_ && devFaults_->consumePoison();
-                exec_.post(rank_, 0, t + la_,
-                           [this, poisoned,
-                            cb = std::move(cb)](Tick at) mutable {
-                               deliver(poisoned, std::move(cb), at);
-                           });
-            };
-        }
-        if (req.onAccept) {
-            req.onAccept = [this, ac = std::move(req.onAccept)](
-                               Tick t) mutable {
-                exec_.post(rank_, 0, t + la_,
-                           [ac = std::move(ac)](Tick at) mutable {
-                               ac(at);
-                           });
-            };
-        }
-        exec_.post(0, rank_, hostEq_.curTick() + la_,
-                   [this, r = std::move(req)](Tick) mutable {
-                       target_.access(std::move(r));
-                   });
-    }
-
-  private:
-    void
-    deliver(bool poisoned, MemRequest::Callback cb, Tick at)
-    {
-        if (poisoned)
-            hostFaults_->armPoison();
-        if (cb)
-            cb(at);
-        // Anything not absorbed by the cache hierarchy reached a
-        // non-caching consumer (mirrors the device-side check).
-        if (poisoned && hostFaults_->consumePoison()) {
-            hostFaults_->stats().poisonDelivered++;
-            CXLMEMO_WARN_RATELIMITED(8,
-                "%s: poisoned line delivered to non-caching consumer",
-                target_.name().c_str());
-        }
-    }
-
-    ParallelExecutor &exec_;
-    EventQueue &hostEq_;
-    std::uint32_t rank_;
-    MemoryDevice &target_;
-    Tick la_;
-    FaultInjector *hostFaults_;
-    FaultInjector *devFaults_;
-};
-
-} // namespace
-
 Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
 {
     using namespace testbed_params;
@@ -326,136 +206,21 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
     if (opts.faults.enabled() || opts.chaos.enabled())
         faults_ = std::make_unique<FaultInjector>(opts.faults);
 
-    const bool par = opts.simThreads > 0;
-    if (par) {
-        // Sampled tracing exports spans in completion order, which is
-        // executor-timing dependent, so it stays classic-only. Tail
-        // capture (obs.tailK) is fine here: a span is touched by one
-        // domain at a time (marks follow the request's causal chain,
-        // handoffs synchronize through the executor posts) and the
-        // retained worst-K set is completion-order independent by
-        // construction.
-        if (opts.obs.traceSampleEvery > 0)
-            throw std::invalid_argument(
-                "Machine: request-lifecycle tracing requires the "
-                "single-queue engine (simThreads = 0)");
-        lookahead_ = kDomainLookahead;
-        // The device domain draws fault decisions from its own
-        // decorrelated stream; the host injector keeps serving the
-        // hierarchy's consumption protocol. The fault *pattern* thus
-        // differs from the single-queue engine, but is a pure
-        // function of the spec -- identical at every thread count.
-        if (faults_) {
-            FaultSpec ds = opts.faults;
-            ds.seed = opts.faults.seed ^ kDevFaultSeedSalt;
-            devFaults_ = std::make_unique<FaultInjector>(ds);
-        }
-        // All domain queues and the executor exist before any device,
-        // so devices can be built directly on their domain's queue.
-        const std::uint32_t numDomains = 1 + local_channels
-                                         + (with_remote ? 1u : 0u)
-                                         + (with_cxl ? 1u : 0u);
-        std::vector<EventQueue *> ranks;
-        ranks.reserve(numDomains);
-        ranks.push_back(&eq_);
-        for (std::uint32_t d = 1; d < numDomains; ++d) {
-            domainQueues_.push_back(std::make_unique<EventQueue>());
-            ranks.push_back(domainQueues_.back().get());
-        }
-        std::uint32_t nextRank = 1 + local_channels;
-        if (with_remote)
-            remoteRank_ = nextRank++;
-        if (with_cxl)
-            cxlRank_ = nextRank++;
-        exec_ = std::make_unique<ParallelExecutor>(
-            std::move(ranks), lookahead_, opts.simThreads);
-    }
-
-    DramChannelParams lp = localDdr5Channel();
-    std::vector<EventQueue *> chQueues;
-    if (par) {
-        // The channel front-end absorbs both lookahead crossings of a
-        // round trip, keeping end-to-end latency tick-exact.
-        lp.tFrontend -= std::min(lp.tFrontend, 2 * lookahead_);
-        for (std::uint32_t ch = 0; ch < local_channels; ++ch)
-            chQueues.push_back(domainQueues_[ch].get());
-    }
     local_ = std::make_unique<InterleavedMemory>(
-        eq_, "ddr5-l" + std::to_string(local_channels), lp,
-        local_channels, 256, nullptr, chQueues);
+        eq_, "ddr5-l" + std::to_string(local_channels), localDdr5Channel(),
+        local_channels, 256);
     localNode_ = numa_.addNode("local-ddr5", local_.get(), local_capacity);
-    if (par) {
-        local_->setChannelHop([this](std::uint32_t ch, MemRequest req) {
-            const std::uint32_t rank = 1 + ch;
-            if (req.onComplete) {
-                req.onComplete = [this, rank,
-                                  cb = std::move(req.onComplete)](
-                                     Tick t) mutable {
-                    exec_->post(rank, 0, t + lookahead_,
-                                [cb = std::move(cb)](Tick at) mutable {
-                                    cb(at);
-                                });
-                };
-            }
-            if (req.onAccept) {
-                req.onAccept = [this, rank,
-                                ac = std::move(req.onAccept)](
-                                   Tick t) mutable {
-                    exec_->post(rank, 0, t + lookahead_,
-                                [ac = std::move(ac)](Tick at) mutable {
-                                    ac(at);
-                                });
-                };
-            }
-            exec_->post(0, rank, eq_.curTick() + lookahead_,
-                        [this, ch, r = std::move(req)](Tick) mutable {
-                            local_->channel(ch).access(std::move(r));
-                        });
-        });
-    }
-
     if (with_remote) {
-        UpiParams up = uiPathToRemote();
-        EventQueue *remoteEq = &eq_;
-        if (par) {
-            // Each direction's hop absorbs one lookahead crossing.
-            up.hopLatency -= std::min(up.hopLatency, lookahead_);
-            remoteEq = domainQueues_[remoteRank_ - 1].get();
-        }
-        remote_ = std::make_unique<UpiRemoteMemory>(*remoteEq, up);
-        MemoryDevice *remoteFace = remote_.get();
-        if (par) {
-            proxies_.push_back(std::make_unique<DomainProxy>(
-                *exec_, eq_, remoteRank_, *remote_, lookahead_,
-                nullptr, nullptr));
-            remoteFace = proxies_.back().get();
-        }
-        remoteNode_ = numa_.addNode("remote-ddr5", remoteFace, 128 * giB);
+        remote_ = std::make_unique<UpiRemoteMemory>(eq_, uiPathToRemote());
+        remoteNode_ = numa_.addNode("remote-ddr5", remote_.get(),
+                                    128 * giB);
     }
     if (with_cxl) {
-        CxlDeviceParams cp =
-            opts.cxlDevice ? *opts.cxlDevice : agilexCxlDevice();
-        EventQueue *cxlEq = &eq_;
-        FaultInjector *cxlFaults = faults_.get();
-        if (par) {
-            // Each direction's propagation absorbs one crossing.
-            cp.link.propagation =
-                cp.link.propagation
-                - std::min(cp.link.propagation, lookahead_);
-            cxlEq = domainQueues_[cxlRank_ - 1].get();
-            cxlFaults = devFaults_.get();
-        }
-        cxl_ = std::make_unique<CxlMemDevice>(*cxlEq, cp, cxlFaults,
-                                              opts.qos);
+        cxl_ = std::make_unique<CxlMemDevice>(
+            eq_, opts.cxlDevice ? *opts.cxlDevice : agilexCxlDevice(),
+            faults_.get(), opts.qos);
         qosSpec_ = opts.qos;
-        MemoryDevice *cxlFace = cxl_.get();
-        if (par) {
-            proxies_.push_back(std::make_unique<DomainProxy>(
-                *exec_, eq_, cxlRank_, *cxl_, lookahead_,
-                faults_.get(), devFaults_.get()));
-            cxlFace = proxies_.back().get();
-        }
-        cxlNode_ = numa_.addNode("cxl-dram", cxlFace, 16 * giB,
+        cxlNode_ = numa_.addNode("cxl-dram", cxl_.get(), 16 * giB,
                                  /*hasCpu=*/false);
         // The flushed-line handshake happens at the host home agent
         // and applies to HDM-backed lines as well (NumaNode default).
@@ -470,34 +235,13 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         caches_->setFaultInjector(faults_.get());
     if (cxl_ && qosSpec_.policy != QosPolicy::None) {
         throttle_ = std::make_unique<HostThrottle>(qosSpec_, cores);
-        if (par) {
-            // The throttle lives host-side (cores consult it when
-            // issuing); DevLoad samples piggybacked on S2M responses
-            // cross the domain boundary like any other event.
-            cxl_->setLoadSink([this](double load, DevLoad level,
-                                     Tick at) {
-                exec_->post(cxlRank_, 0, at + lookahead_,
-                            [this, load, level](Tick t) {
-                                throttle_->observe(load, level, t);
-                            });
-            });
-        } else {
-            cxl_->setHostThrottle(throttle_.get());
-        }
+        cxl_->setHostThrottle(throttle_.get());
         caches_->setQosThrottle(throttle_.get(), cxlNode_);
     }
     if (opts.watchdogInterval > 0) {
         WatchdogParams wp;
         wp.interval = opts.watchdogInterval;
         watchdog_ = std::make_unique<Watchdog>(eq_, wp);
-        if (par) {
-            // Snapshots read device-domain state, so every snapshot
-            // tick becomes an executor fence; the deadlock test must
-            // see the whole machine's pending work, not just rank 0's.
-            watchdog_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
         if (cxl_) {
             cxl_->enableProgressTracking();
             watchdog_->watch(cxl_.get());
@@ -505,36 +249,23 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         watchdog_->arm();
     }
 
-    // Failure lifecycle. The device owns the link/removal FSMs (they
-    // run on its own domain queue, so the schedule is identical at
-    // every thread count); the host owns the page ledger and the NUMA
-    // offline/online reaction, which it schedules at the same absolute
-    // ticks as the device-side transitions.
+    // Failure lifecycle. The device owns the link/removal FSMs; the
+    // host owns the page ledger and the NUMA offline/online reaction,
+    // which it schedules at the same absolute ticks as the device-side
+    // transitions.
     if (opts.chaos.enabled() && cxl_) {
         chaosSpec_ = opts.chaos;
         cxl_->armChaos(opts.chaos);
         if (watchdog_) {
-            if (par) {
-                // Announcements originate in the device domain; relay
-                // them to the host like any other cross-domain event.
-                cxl_->setChaosAnnounce(
-                    [this](Tick at, const std::string &text) {
-                        exec_->post(cxlRank_, 0, at + lookahead_,
-                                    [this, at, text](Tick) {
-                                        watchdog_->noteEvent(at, text);
-                                    });
-                    });
-            } else {
-                cxl_->setChaosAnnounce(
-                    [this](Tick at, const std::string &text) {
-                        watchdog_->noteEvent(at, text);
-                    });
-            }
+            cxl_->setChaosAnnounce(
+                [this](Tick at, const std::string &text) {
+                    watchdog_->noteEvent(at, text);
+                });
         }
         if (opts.chaos.removeAtNs > 0) {
             const Tick off = ticksFromNs(
                 static_cast<double>(opts.chaos.removeAtNs));
-            eq_.schedule(off + (par ? lookahead_ : 0), [this] {
+            eq_.schedule(off, [this] {
                 numa_.setNodeOnline(cxlNode_, false);
                 if (cxlHotplugHook_)
                     cxlHotplugHook_(eq_.curTick(), false);
@@ -543,7 +274,7 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         if (opts.chaos.readdAtNs > 0) {
             const Tick on = ticksFromNs(
                 static_cast<double>(opts.chaos.readdAtNs));
-            eq_.schedule(on + (par ? lookahead_ : 0), [this] {
+            eq_.schedule(on, [this] {
                 numa_.setNodeOnline(cxlNode_, true);
                 if (cxlHotplugHook_)
                     cxlHotplugHook_(eq_.curTick(), true);
@@ -607,11 +338,6 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         registerMetrics();
         sampler_ = std::make_unique<MetricsSampler>(
             eq_, *metrics_, opts.obs.metricsInterval);
-        if (par) {
-            sampler_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
         sampler_->arm();
     }
 
@@ -637,40 +363,13 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         attrib_->setServers(StationId::Dsa, dsa_->params().numEngines);
         caches_->setStation(&attrib_->station(StationId::Cache));
         dsa_->setStation(&attrib_->station(StationId::Dsa));
-        if (!par) {
-            local_->setStation(&attrib_->station(StationId::Dram));
-            if (remote_) {
-                remote_->setStation(&attrib_->station(StationId::Upi));
-                remote_->setDramStation(
-                    &attrib_->station(StationId::Dram));
-            }
-            if (cxl_)
-                cxl_->setAttribution(attrib_.get());
-        } else {
-            // Stations owned by other domains go on per-domain shard
-            // boards (accounting is single-threaded within a domain);
-            // attribSnapshot() merges them back. The host board keeps
-            // the request bracket (cores) and the Cache/Dsa stations.
-            shardBoards_.resize(exec_->numDomains());
-            for (std::uint32_t ch = 0; ch < local_->numChannels();
-                 ++ch) {
-                auto &b = shardBoards_[1 + ch];
-                b = std::make_unique<AttributionBoard>(0);
-                local_->channel(ch).setStation(
-                    &b->station(StationId::Dram));
-            }
-            if (remote_) {
-                auto &b = shardBoards_[remoteRank_];
-                b = std::make_unique<AttributionBoard>(0);
-                remote_->setStation(&b->station(StationId::Upi));
-                remote_->setDramStation(&b->station(StationId::Dram));
-            }
-            if (cxl_) {
-                auto &b = shardBoards_[cxlRank_];
-                b = std::make_unique<AttributionBoard>(0);
-                cxl_->setAttribution(b.get());
-            }
+        local_->setStation(&attrib_->station(StationId::Dram));
+        if (remote_) {
+            remote_->setStation(&attrib_->station(StationId::Upi));
+            remote_->setDramStation(&attrib_->station(StationId::Dram));
         }
+        if (cxl_)
+            cxl_->setAttribution(attrib_.get());
         if (watchdog_) {
             watchdog_->addPostMortem(
                 [this] { return attribSnapshot().postMortem(); });
@@ -678,31 +377,10 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
     }
 }
 
-void
-Machine::run()
-{
-    if (exec_)
-        exec_->run();
-    else
-        eq_.run();
-}
-
-bool
-Machine::runUntil(Tick limit)
-{
-    return exec_ ? exec_->run(limit) : eq_.runUntil(limit);
-}
-
 const RasStats *
 Machine::rasStats() const
 {
-    if (!faults_)
-        return nullptr;
-    if (!devFaults_)
-        return &faults_->stats();
-    rasMerged_ = faults_->stats();
-    rasMerged_.merge(devFaults_->stats());
-    return &rasMerged_;
+    return faults_ ? &faults_->stats() : nullptr;
 }
 
 ChaosStats
@@ -721,17 +399,7 @@ Machine::attribSnapshot() const
 {
     CXLMEMO_ASSERT(attrib_ != nullptr,
                    "attribSnapshot without obs.attribution");
-    AttribSnapshot snap = attrib_->snapshot(eq_.curTick());
-    for (const auto &b : shardBoards_) {
-        if (!b)
-            continue;
-        AttribSnapshot s = b->snapshot(eq_.curTick());
-        // The shards cover the *same* window as the host board, not a
-        // disjoint one; merging must not double the elapsed time.
-        s.elapsed = 0;
-        snap.merge(s);
-    }
-    return snap;
+    return attrib_->snapshot(eq_.curTick());
 }
 
 void
@@ -852,20 +520,10 @@ Machine::registerMetrics()
     }
     // Event/callback allocation rate of the simulator itself (the
     // slab allocator in sim/pool.hh). Machine-relative baseline: the
-    // pool counters are process-wide. Only the allocation count is
-    // registered -- free-list reuse vs. fallback splits depend on
-    // which *worker* frees a cell, which is not thread-count
-    // invariant and would break the determinism contract.
+    // pool counters are process-wide.
     m.addCounter("alloc.pool_allocs", [base = poolAllocCount()] {
         return poolAllocCount() - base;
     });
-    if (exec_) {
-        m.addCounter("sim.windows", [this] { return exec_->windows(); });
-        m.addCounter("sim.cross_posts",
-                     [this] { return exec_->crossPosts(); });
-        m.addCounter("sim.clamped_posts",
-                     [this] { return exec_->clampedPosts(); });
-    }
 }
 
 NodeId
@@ -916,15 +574,10 @@ Machine::resetStats()
         cxl_->resetStats();
     if (faults_)
         faults_->stats().reset();
-    if (devFaults_)
-        devFaults_->stats().reset();
     if (throttle_)
         throttle_->resetStats();
     if (attrib_)
         attrib_->beginWindow(eq_.curTick());
-    for (auto &b : shardBoards_)
-        if (b)
-            b->beginWindow(eq_.curTick());
 }
 
 std::optional<QosStats>
@@ -1017,12 +670,6 @@ Machine::statsString() const
         os << "  ras: " << rasStats()->summary() << "\n";
     if (chaosSpec_.enabled() && cxl_)
         os << "  chaos: " << chaosStats().summary() << "\n";
-    if (exec_) {
-        os << "  engine: domains " << exec_->numDomains()
-           << ", windows " << exec_->windows() << ", cross-posts "
-           << exec_->crossPosts() << ", clamped "
-           << exec_->clampedPosts() << "\n";
-    }
     const CacheStats &llc = caches_->llcStats();
     os << "  llc: hits " << llc.hits << ", misses " << llc.misses
        << " (hit rate " << 100.0 * llc.hitRate() << "%), dirty evictions "

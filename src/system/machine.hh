@@ -28,7 +28,6 @@
 #include "sim/lifecycle.hh"
 #include "sim/metrics.hh"
 #include "sim/observability.hh"
-#include "sim/parallel.hh"
 #include "sim/qos.hh"
 #include "sim/tailcap.hh"
 #include "sim/trace.hh"
@@ -93,19 +92,6 @@ struct MachineOptions
      *  and enables no histograms -- timing and statistics are
      *  bit-identical to a machine without the observability layer. */
     ObservabilityOptions obs;
-
-    /**
-     * Domain-partitioned parallel simulation: worker threads for the
-     * conservative window engine (sim/parallel.hh). 0 (the default)
-     * keeps the classic single-queue engine, bit-identical to a build
-     * without this subsystem. Any value >= 1 partitions the machine
-     * into per-component simulation domains (host socket, each local
-     * DRAM channel, the remote socket, the CXL device) whose output is
-     * byte-identical at every thread count -- including 1 -- though
-     * not to the single-queue engine (domain-crossing latencies are
-     * repartitioned and the device fault stream is decoupled; see
-     * DESIGN.md). Incompatible with request-lifecycle tracing. */
-    std::uint32_t simThreads = 0;
 };
 
 /**
@@ -122,21 +108,6 @@ class Machine
 
     EventQueue &eq() { return eq_; }
     NumaSpace &numa() { return numa_; }
-
-    /** True when the domain-partitioned parallel engine is active. */
-    bool parallel() const { return exec_ != nullptr; }
-
-    /** The parallel executor (nullptr when simThreads == 0). */
-    ParallelExecutor *executor() { return exec_.get(); }
-
-    /** Drive the simulation until every queue drains. Equivalent to
-     *  eq().run() on the single-queue engine; required instead of it
-     *  when the parallel engine is active. */
-    void run();
-
-    /** Drive until drained or @p limit (inclusive); see
-     *  EventQueue::runUntil. @return true if drained. */
-    bool runUntil(Tick limit);
 
     CacheHierarchy &caches() { return *caches_; }
     const CoreParams &coreParams() const { return coreParams_; }
@@ -158,14 +129,10 @@ class Machine
     UpiRemoteMemory &remoteMem();
     CxlMemDevice &cxlDev();
 
-    /** Fault injector (nullptr when faults are disabled). In parallel
-     *  mode this is the *host-side* injector (poison consumption); the
-     *  device domain draws its fault decisions from a decoupled
-     *  stream. */
+    /** Fault injector (nullptr when faults are disabled). */
     FaultInjector *faults() { return faults_.get(); }
 
-    /** RAS counters, or nullptr when faults are disabled. In parallel
-     *  mode, the host- and device-side streams merged. */
+    /** RAS counters, or nullptr when faults are disabled. */
     const RasStats *rasStats() const;
 
     /** The QoS configuration this machine was built with. */
@@ -186,16 +153,15 @@ class Machine
 
     /**
      * Failure-lifecycle counters: the device's link/removal FSM state
-     * merged with the host page ledger. Read only at a quiesced point
-     * (after run()/runUntil()) when the parallel engine is active.
+     * merged with the host page ledger.
      */
     ChaosStats chaosStats() const;
 
     /**
      * Host-side reaction hook fired when the CXL node is marked
      * offline (online = false) or back online (online = true) by a
-     * scheduled hot-remove/re-add. Runs on the host domain; the drill
-     * harness uses it to evacuate tiered data off the dying device.
+     * scheduled hot-remove/re-add. The drill harness uses it to
+     * evacuate tiered data off the dying device.
      */
     void
     setCxlHotplugHook(std::function<void(Tick, bool)> hook)
@@ -219,13 +185,11 @@ class Machine
 
     /** Latency-attribution board (nullptr when `obs.attribution` is
      *  off -- the default: no stations, no accounting, bit-identical
-     *  timing and statistics). In parallel mode this is the host
-     *  board only; use attribSnapshot() for the full machine. */
+     *  timing and statistics). */
     AttributionBoard *attribution() { return attrib_.get(); }
 
-    /** Machine-wide attribution roll-up: the host board merged with
-     *  the per-domain shard boards the parallel engine splits the
-     *  device stations onto. Requires attribution() != nullptr. */
+    /** Machine-wide attribution roll-up. Requires
+     *  attribution() != nullptr. */
     AttribSnapshot attribSnapshot() const;
 
     /** Emit the final metrics snapshot plus end-of-run totals (no-op
@@ -275,22 +239,9 @@ class Machine
 
     std::unique_ptr<FaultInjector> faults_; //!< before devices using it
 
-    /* Parallel engine (all empty when simThreads == 0). Declared
-     * before the devices: channels and devices hold references into
-     * domainQueues_ and devFaults_, so those must outlive them. */
-    std::unique_ptr<FaultInjector> devFaults_; //!< device-domain stream
-    std::vector<std::unique_ptr<EventQueue>> domainQueues_; //!< ranks 1..N
-    std::unique_ptr<ParallelExecutor> exec_;
-    Tick lookahead_ = 0;
-    std::uint32_t remoteRank_ = 0; //!< 0 = no remote domain
-    std::uint32_t cxlRank_ = 0;    //!< 0 = no CXL domain
-
     std::unique_ptr<InterleavedMemory> local_;
     std::unique_ptr<UpiRemoteMemory> remote_;
     std::unique_ptr<CxlMemDevice> cxl_;
-    /** Host-side stand-ins registered in the NUMA space for devices
-     *  that live in another domain (parallel mode only). */
-    std::vector<std::unique_ptr<MemoryDevice>> proxies_;
     std::unique_ptr<CacheHierarchy> caches_;
     std::unique_ptr<Dsa> dsa_;
     QosSpec qosSpec_;
@@ -304,10 +255,6 @@ class Machine
     std::unique_ptr<MetricsRegistry> metrics_;
     std::unique_ptr<MetricsSampler> sampler_;
     std::unique_ptr<AttributionBoard> attrib_;
-    /** Per-domain attribution shards, indexed by rank ([0] unused:
-     *  the host accounts on attrib_). Empty when not parallel. */
-    std::vector<std::unique_ptr<AttributionBoard>> shardBoards_;
-    mutable RasStats rasMerged_; //!< rasStats() scratch (parallel)
     CoreParams coreParams_;
 
     /** Register component counters/gauges with metrics_. */

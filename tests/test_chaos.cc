@@ -430,7 +430,7 @@ loadCxlLines(Machine &m, int count)
     HwThread t(m.caches(), 0, m.coreParams());
     t.start(std::make_unique<ListStream>(std::move(ops)),
             m.eq().curTick(), {});
-    m.run();
+    m.eq().run();
     EXPECT_TRUE(t.finished());
     return t.stats();
 }
@@ -603,7 +603,7 @@ TEST(TieringFailure, EvacuateCxlMovesEveryResidentPage)
     ASSERT_GT(onCxl, 0u);
     Tick cpu = 0;
     const std::uint64_t moved = buf.evacuateCxl(cpu);
-    m.run(); // drain the DSA copies
+    m.eq().run(); // drain the DSA copies
     EXPECT_EQ(moved, onCxl * pageBytes);
     EXPECT_DOUBLE_EQ(buf.dramResidency(), 1.0);
     EXPECT_GT(cpu, 0u);
@@ -630,7 +630,7 @@ TEST(TieringFailure, PromoteIfResidentMovesExactlyOnePage)
     const Addr paddr = buf.peek(victim * pageBytes);
     Tick cpu = 0;
     EXPECT_EQ(buf.promoteIfResident(paddr, cpu), pageBytes);
-    m.run();
+    m.eq().run();
     EXPECT_EQ(nodeOfPaddr(buf.peek(victim * pageBytes)), m.localNode());
     // Already on DRAM now: a second promote is a no-op...
     EXPECT_EQ(buf.promoteIfResident(paddr, cpu), 0u);

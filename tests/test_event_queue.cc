@@ -341,95 +341,11 @@ TEST(EventQueue, ScheduleInRejectsOverflowingDelay)
     EXPECT_EQ(eq.pending(), 1u);
 }
 
-/* ------------------------- peekNextTick -------------------------- */
-
-TEST(EventQueue, PeekNextTickEmptyQueueReportsMaxTick)
+TEST(EventQueueDeathTest, RunUntilFromOrdinaryCallbackPanics)
 {
     EventQueue eq;
-    EXPECT_EQ(eq.peekNextTick(), maxTick);
-    eq.schedule(10, [] {});
-    eq.run();
-    EXPECT_EQ(eq.peekNextTick(), maxTick);
-}
-
-TEST(EventQueue, PeekNextTickSeesWheelFarAndActiveWindow)
-{
-    EventQueue eq;
-    // Wheel event (near future).
-    eq.schedule(ticksFromNs(40), [] {});
-    EXPECT_EQ(eq.peekNextTick(), ticksFromNs(40));
-    // An out-of-order earlier event in the same unsorted bucket must
-    // win the peek: the scan takes the bucket min, not the first entry.
-    eq.schedule(ticksFromNs(39), [] {});
-    EXPECT_EQ(eq.peekNextTick(), ticksFromNs(39));
-    // Far-heap event beyond the wheel horizon does not hide the wheel.
-    eq.schedule(ticksFromUs(100), [] {});
-    EXPECT_EQ(eq.peekNextTick(), ticksFromNs(39));
-    // Drain the wheel: only the far event remains.
-    eq.runUntil(ticksFromNs(50));
-    EXPECT_EQ(eq.peekNextTick(), ticksFromUs(100));
-}
-
-TEST(EventQueue, PeekNextTickSeesRemainderOfSortedWindow)
-{
-    EventQueue eq;
-    // Both land in one ~4 ns window; stop mid-window so the second
-    // sits in the already-sorted active window.
-    eq.schedule(1000, [] {});
-    eq.schedule(1020, [] {});
-    eq.runUntil(1005);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_EQ(eq.peekNextTick(), 1020u);
-}
-
-TEST(EventQueue, PeekNextTickMatchesExecutionUnderRandomLoad)
-{
-    EventQueue eq;
-    Rng rng(7);
-    for (int i = 0; i < 2000; ++i)
-        eq.schedule(rng.below(ticksFromUs(5)), [] {});
-    while (eq.pending() > 0) {
-        const Tick peek = eq.peekNextTick();
-        const std::uint64_t before = eq.eventsExecuted();
-        eq.runUntil(peek);
-        // At least one event must sit exactly at the peeked tick.
-        EXPECT_GT(eq.eventsExecuted(), before);
-        EXPECT_EQ(eq.curTick(), peek);
-    }
-}
-
-/* ------------------------ external drive ------------------------- */
-
-TEST(EventQueue, ExternalDriveAllowsSchedulingAndAdvance)
-{
-    EventQueue eq;
-    eq.schedule(100, [] {});
-    eq.run();
-    eq.beginExternalDrive();
-    eq.schedule(150, [] {});
-    eq.endExternalDrive();
-    eq.advanceTo(120);
-    EXPECT_EQ(eq.curTick(), 120u);
-    eq.run();
-    EXPECT_EQ(eq.curTick(), 150u);
-}
-
-TEST(EventQueueDeathTest, ResetFromStagedCallbackPanics)
-{
-    // A staged cross-window callback runs under an external drive, not
-    // inside runUntil; reset() must refuse there exactly as it does
-    // from an ordinary callback.
-    EventQueue eq;
-    eq.beginExternalDrive();
-    EXPECT_DEATH(eq.reset(), "reset called from a callback");
-}
-
-TEST(EventQueueDeathTest, RunUntilFromStagedCallbackPanics)
-{
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.beginExternalDrive();
-    EXPECT_DEATH(eq.runUntil(100), "runUntil called from a callback");
+    eq.schedule(10, [&] { eq.runUntil(100); });
+    EXPECT_DEATH(eq.run(), "runUntil called from a callback");
 }
 
 TEST(EventQueueDeathTest, ResetFromOrdinaryCallbackPanics)

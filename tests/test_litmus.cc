@@ -12,7 +12,7 @@
  *  - poison routing: fabric-side poison lands in the targeted host's
  *    ledger only -- the other tenant's reads stay clean.
  *
- * All tests drive a classic-mode Cluster directly via inject() +
+ * All tests drive a Cluster directly via inject() +
  * runFabricUntil(), no workload generators.
  */
 

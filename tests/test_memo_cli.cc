@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "memo/cli.hh"
 #include "sim/attribution.hh"
 #include "sim/fabric_attrib.hh"
@@ -149,6 +151,33 @@ TEST(MemoCli, RejectsBadInput)
     EXPECT_FALSE(parse({"--threads", "0"}).has_value());
     EXPECT_FALSE(parse({"--threads", "100"}).has_value());
     EXPECT_FALSE(parse({"--frobnicate"}).has_value());
+
+    // End to end through the binary's entry point: an unknown flag
+    // (here the removed --sim-threads) exits 2 with one stderr line
+    // naming it.
+    const char *argv[] = {"memo", "--mode", "seq", "--sim-threads", "2"};
+    testing::internal::CaptureStderr();
+    const int rc = memoCliMain(5, const_cast<char **>(argv));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_NE(err.find("unknown argument: --sim-threads"),
+              std::string::npos)
+        << err;
+}
+
+TEST(MemoCli, WatchdogFlagsSetTheInterval)
+{
+    const auto ns = parse({"--mode", "seq", "--watchdog-ns", "20000",
+                           "--csv"});
+    ASSERT_TRUE(ns.has_value());
+    EXPECT_DOUBLE_EQ(ns->watchdogUs, 20.0);
+    EXPECT_TRUE(ns->csv);
+    const auto dflt = parse({"--mode", "seq", "--watchdog"});
+    ASSERT_TRUE(dflt.has_value());
+    EXPECT_DOUBLE_EQ(dflt->watchdogUs, 100.0);
+    EXPECT_FALSE(parse({"--watchdog-ns", "0"}).has_value());
+    EXPECT_FALSE(parse({"--watchdog-ns"}).has_value());
 }
 
 TEST(MemoCli, ParseSizeRejectsOverflow)
@@ -480,14 +509,13 @@ TEST(MemoCli, PoolModeParsesSpecIntoConfig)
     const auto cfg = parse({"--mode", "pool", "--pool-spec",
                             "hosts=4,ops=500,crash-host=1,"
                             "crash-at-ns=10000,aggressor=3",
-                            "--sim-threads", "2", "--jobs", "2"});
+                            "--jobs", "2"});
     ASSERT_TRUE(cfg);
     EXPECT_EQ(cfg->mode, CliMode::Pool);
     EXPECT_EQ(cfg->poolSpec.hosts, 4u);
     EXPECT_EQ(cfg->poolSpec.ops, 500u);
     EXPECT_EQ(cfg->poolSpec.crashHost, 1);
     EXPECT_EQ(cfg->poolSpec.aggressor, 3);
-    EXPECT_EQ(cfg->simThreads, 2u);
     EXPECT_EQ(cfg->jobs, 2u);
     // Defaults: pool mode without a spec is the clean two-host run.
     const auto bare = parse({"--mode", "pool"});
@@ -589,31 +617,6 @@ TEST(MemoCli, PoolCsvHeaderGrowsFabricTierWithAttrib)
 
 /* ----------------- observability flag matrix --------------------- */
 
-TEST(MemoCli, TraceFlagsRequireClassicEngine)
-{
-    // Request-lifecycle tracing rides the single-queue engine in
-    // every mode; the parallel engine must be rejected at parse time
-    // with a one-line error, not deep in the run.
-    for (const char *mode : {"seq", "pool", "drill", "report"}) {
-        std::string err;
-        std::vector<std::string> v{"--mode", mode, "--trace-out",
-                                   "t.json", "--sim-threads", "2"};
-        EXPECT_FALSE(parseCli(v, err).has_value()) << mode;
-        EXPECT_NE(err.find("--sim-threads 0"), std::string::npos)
-            << err;
-        err.clear();
-        v = {"--mode", mode, "--trace-sample", "8", "--sim-threads",
-             "4"};
-        EXPECT_FALSE(parseCli(v, err).has_value()) << mode;
-        EXPECT_NE(err.find("--sim-threads 0"), std::string::npos)
-            << err;
-    }
-    // --sim-threads 0 (explicit or default) stays accepted.
-    EXPECT_TRUE(parse({"--mode", "pool", "--trace-out", "t.json",
-                       "--sim-threads", "0"}));
-    EXPECT_TRUE(parse({"--mode", "pool", "--trace-out", "t.json"}));
-}
-
 TEST(MemoCli, HistogramsAcceptedEverywhereIncludingPool)
 {
     // Pool mode grew per-host read histograms, so --histograms is a
@@ -656,14 +659,9 @@ TEST(MemoCli, TailTraceRejectsBadDepths)
     EXPECT_TRUE(parse({"--mode", "loaded", "--tail-trace", "1024"}));
 }
 
-TEST(MemoCli, TailTraceComposesWithParallelEngineAndPool)
+TEST(MemoCli, TailTraceComposesWithPool)
 {
-    // Tail capture is parallel-safe (spans retire on the host
-    // domain), so --sim-threads composes -- unlike --trace-out.
-    EXPECT_TRUE(parse({"--mode", "loaded", "--tail-trace", "8",
-                       "--sim-threads", "4"}));
-    EXPECT_TRUE(parse({"--mode", "pool", "--tail-trace", "8",
-                       "--sim-threads", "4"}));
+    EXPECT_TRUE(parse({"--mode", "pool", "--tail-trace", "8"}));
     EXPECT_TRUE(parse({"--mode", "pool", "--tail-trace", "8",
                        "--histograms"}));
 }
@@ -708,7 +706,6 @@ TEST(MemoCli, DiffModeRejectsBadInvocations)
           std::vector<std::string>{"--attrib"},
           std::vector<std::string>{"--trace-out", "t.json"},
           std::vector<std::string>{"--metrics-out", "m.csv"},
-          std::vector<std::string>{"--sim-threads", "2"},
           std::vector<std::string>{"--fault-spec", "crc=1e-4"}}) {
         std::vector<std::string> v{"diff", "a.csv", "b.csv"};
         v.insert(v.end(), extra.begin(), extra.end());
@@ -767,7 +764,7 @@ TEST(MemoCli, CsvHeaderGrowsTailTier)
 TEST(MemoCli, PoolModeAcceptsFabricObservability)
 {
     // The supported pool-mode combinations: --attrib, --trace-out,
-    // --metrics-out (classic engine), alone and together.
+    // --metrics-out, alone and together.
     const auto cfg =
         parse({"--mode", "pool", "--pool-spec", "hosts=2,ops=100",
                "--attrib", "--trace-out", "t.json", "--metrics-out",
@@ -777,12 +774,8 @@ TEST(MemoCli, PoolModeAcceptsFabricObservability)
     EXPECT_TRUE(obs.attribution);
     EXPECT_EQ(obs.traceSampleEvery, 64u);
     EXPECT_EQ(obs.metricsInterval, ticksFromNs(1000.0));
-    // --attrib composes with the parallel engine (attribution is
-    // fabric-domain-only); only tracing is classic-engine-bound.
-    EXPECT_TRUE(parse({"--mode", "pool", "--attrib", "--sim-threads",
-                       "4"}));
-    EXPECT_TRUE(parse({"--mode", "pool", "--metrics-out", "m.csv",
-                       "--sim-threads", "4"}));
+    EXPECT_TRUE(parse({"--mode", "pool", "--attrib"}));
+    EXPECT_TRUE(parse({"--mode", "pool", "--metrics-out", "m.csv"}));
 }
 
 } // namespace

@@ -5,16 +5,15 @@
  * (time-to-fence, quarantine -> scrub -> re-grant), the
  * machine-checked blast-radius invariant (victim digests identical
  * between the full disturbed run and a victim-only baseline),
- * byte-identical results at every --sim-threads count, exact --jobs
- * merges, the cross-host fairness regression pin, and the watchdog
+ * byte-identical results across --jobs, the cross-host fairness
+ * regression pin, and the watchdog
  * post-mortem naming the stuck switch port.
  *
  * Fabric observability rides the same scenarios: exact per-port
  * latency decomposition with a Little's-law self-test, the cluster
  * bottleneck verdict, cross-host trace timelines (including the
  * fence-containment litmus), and the conserving metrics timeline --
- * all bit-identical when disabled and byte-identical at every
- * --sim-threads count.
+ * all bit-identical when disabled and byte-identical across --jobs.
  */
 
 #include <gtest/gtest.h>
@@ -227,57 +226,26 @@ TEST(Pool, IsolationInvariantVictimDigestMatchesSoloBaseline)
     EXPECT_TRUE(r.cluster.ledgerOk);
 }
 
-TEST(Pool, ResultIsByteIdenticalAtEverySimThreadCount)
+TEST(Pool, ResultIsByteIdenticalAcrossJobs)
 {
-    // The parallel-engine contract (same as the single-machine one
-    // from the domain-partitioned engine): every thread count >= 1
-    // produces the same execution, so the *entire* result -- digests,
-    // fencing timeline, verdict, end tick -- matches exactly.
+    // The disturbed run and its solo baseline are independent sweep
+    // points: running them side by side must reproduce the *entire*
+    // result -- fencing timeline, read tails, recovery, end tick.
     const PoolSpec sp = drillSpec();
-    auto runAt = [&sp](std::uint32_t threads) {
-        Cluster::Options o;
-        o.simThreads = threads;
-        Cluster c(sp, o);
-        return c.run();
-    };
-    const ClusterResult ref = runAt(1);
-    for (std::uint32_t t : {2u, 8u}) {
-        const ClusterResult par = runAt(t);
-        ASSERT_EQ(par.hosts.size(), ref.hosts.size());
-        for (std::size_t h = 0; h < ref.hosts.size(); ++h) {
-            EXPECT_EQ(par.hosts[h].digest, ref.hosts[h].digest)
-                << "host " << h << " at sim-threads " << t;
-            EXPECT_EQ(par.hosts[h].fenced, ref.hosts[h].fenced);
-            EXPECT_DOUBLE_EQ(par.hosts[h].readP99Ns,
-                             ref.hosts[h].readP99Ns);
-        }
-        EXPECT_DOUBLE_EQ(par.timeToFenceNs, ref.timeToFenceNs);
-        EXPECT_EQ(par.quarantinedBytes, ref.quarantinedBytes);
-        EXPECT_EQ(par.recoveredBytes, ref.recoveredBytes);
-        EXPECT_EQ(par.verdict, ref.verdict);
-        EXPECT_EQ(par.endTick, ref.endTick);
-        EXPECT_TRUE(par.ledgerOk);
+    const ClusterResult ref = runPool(sp, {}, 1).cluster;
+    const ClusterResult par = runPool(sp, {}, 2).cluster;
+    ASSERT_EQ(par.hosts.size(), ref.hosts.size());
+    for (std::size_t h = 0; h < ref.hosts.size(); ++h) {
+        EXPECT_EQ(par.hosts[h].fenced, ref.hosts[h].fenced)
+            << "host " << h;
+        EXPECT_DOUBLE_EQ(par.hosts[h].readP99Ns, ref.hosts[h].readP99Ns);
     }
-}
-
-TEST(Pool, UndisturbedDigestsAgreeAcrossEngines)
-{
-    // Classic (single queue) and parallel are different engines and
-    // may interleave same-tick fabric arrivals differently, which
-    // legitimately moves latency and any completion-order-coupled
-    // stream (the poison shaper). What must NOT move is the
-    // functional digest of a host nobody disturbs -- that is the
-    // timing-independence half of the blast-radius argument, across
-    // engines rather than across disturbances.
-    const PoolSpec sp = drillSpec(); // poisons host 2, crashes host 1
-    Cluster classic(sp);
-    Cluster::Options po;
-    po.simThreads = 2;
-    Cluster parallel(sp, po);
-    const auto a = classic.run();
-    const auto b = parallel.run();
-    EXPECT_EQ(a.hosts[0].digest, b.hosts[0].digest); // victim
-    EXPECT_EQ(a.hosts[3].digest, b.hosts[3].digest); // aggressor
+    EXPECT_DOUBLE_EQ(par.timeToFenceNs, ref.timeToFenceNs);
+    EXPECT_EQ(par.quarantinedBytes, ref.quarantinedBytes);
+    EXPECT_EQ(par.recoveredBytes, ref.recoveredBytes);
+    EXPECT_EQ(par.endTick, ref.endTick);
+    EXPECT_TRUE(ref.ledgerOk);
+    EXPECT_TRUE(par.ledgerOk);
 }
 
 TEST(Pool, JobsMergeIsExact)
@@ -507,23 +475,16 @@ TEST(PoolFabric, DisabledPathIsBitIdentical)
         << a.cluster.verdict;
 }
 
-TEST(PoolFabric, SnapshotByteIdenticalAtEverySimThreadCount)
+TEST(PoolFabric, SnapshotByteIdenticalAcrossJobs)
 {
     const PoolSpec sp = drillSpec();
-    auto runAt = [&sp](std::uint32_t threads) {
-        Cluster::Options o;
-        o.simThreads = threads;
-        o.obs.attribution = true;
-        Cluster c(sp, o);
-        return c.run();
-    };
-    const ClusterResult ref = runAt(1);
+    memo::Options o;
+    o.obs.attribution = true;
+    const ClusterResult ref = runPool(sp, o, 1).cluster;
     ASSERT_TRUE(ref.fabric.enabled());
-    for (std::uint32_t t : {2u, 8u}) {
-        const ClusterResult par = runAt(t);
-        expectFabricEq(par.fabric, ref.fabric);
-        EXPECT_EQ(par.verdict, ref.verdict);
-    }
+    const ClusterResult par = runPool(sp, o, 2).cluster;
+    expectFabricEq(par.fabric, ref.fabric);
+    EXPECT_EQ(par.verdict, ref.verdict);
 }
 
 TEST(PoolFabric, VerdictNamesAggressorHostAndHotPort)
@@ -547,16 +508,6 @@ TEST(PoolFabric, VerdictNamesAggressorHostAndHotPort)
 }
 
 /* ---------------------- cross-host tracing ----------------------- */
-
-TEST(PoolTrace, RequiresClassicEngine)
-{
-    PoolSpec sp;
-    sp.hosts = 2;
-    Cluster::Options o;
-    o.simThreads = 2;
-    o.obs.traceSampleEvery = 1;
-    EXPECT_THROW(Cluster(sp, o), std::invalid_argument);
-}
 
 TEST(PoolTrace, TimelineSpansIssueToResponseAcrossTracks)
 {
@@ -662,20 +613,14 @@ TEST(PoolMetrics, TimelineConservesEveryCounter)
               std::string::npos);
 }
 
-TEST(PoolMetrics, RowsIdenticalAcrossSimThreadCounts)
+TEST(PoolMetrics, RowsIdenticalAcrossJobs)
 {
     const PoolSpec sp = drillSpec();
-    auto rowsAt = [&sp](std::uint32_t threads) {
-        Cluster::Options o;
-        o.simThreads = threads;
-        o.obs.metricsInterval = ticksFromNs(1000.0);
-        Cluster c(sp, o);
-        return c.run().metricsRows;
-    };
-    const std::string ref = rowsAt(1);
+    memo::Options o;
+    o.obs.metricsInterval = ticksFromNs(1000.0);
+    const std::string ref = runPool(sp, o, 1).cluster.metricsRows;
     ASSERT_FALSE(ref.empty());
-    EXPECT_EQ(rowsAt(2), ref);
-    EXPECT_EQ(rowsAt(8), ref);
+    EXPECT_EQ(runPool(sp, o, 2).cluster.metricsRows, ref);
 }
 
 } // namespace

@@ -4,7 +4,7 @@
  * (ordering, bounding, exact associative merges, stage-stack
  * exactness, regime classification), the exact-bucket windowed
  * quantile extractor and its metrics wiring, machine-level
- * determinism of `--tail-trace` across engines and job counts, and
+ * determinism of `--tail-trace` across job counts, and
  * the `memo diff` differential regression verdicts on pinned fixture
  * CSVs.
  */
@@ -390,26 +390,6 @@ TEST(MachineTailObs, SamplingOffByDefaultWhenOnlyTailArmed)
     memo::runLoadedLatency(memo::Target::Cxl, 1, opts);
     // Tail-only spans are recycled, never exported as samples.
     EXPECT_EQ(ringSpans, 0u);
-}
-
-TEST(MachineTailObs, ByteIdenticalAcrossSimThreadCounts)
-{
-    auto run = [](std::uint32_t simThreads) {
-        memo::Options opts;
-        opts.obs.tailK = 8;
-        opts.simThreads = simThreads;
-        std::string table;
-        opts.onMachineDone = [&table](Machine &m) {
-            table = m.tailCapture()->table();
-        };
-        memo::runLoadedLatency(memo::Target::Cxl, 4, opts);
-        return table;
-    };
-    const std::string classic = run(0);
-    EXPECT_FALSE(classic.empty());
-    EXPECT_EQ(classic, run(1));
-    EXPECT_EQ(classic, run(2));
-    EXPECT_EQ(classic, run(8));
 }
 
 TEST(MachineTailObs, ByteIdenticalAcrossJobs)
