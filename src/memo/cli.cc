@@ -115,6 +115,75 @@ blankSpec(const std::string &s)
     return true;
 }
 
+template <class Spec, Spec CliConfig::*member>
+bool
+takeSpec(CliConfig &cfg, const std::string &text, std::string &error)
+{
+    const auto spec = Spec::parse(text, error);
+    if (spec)
+        cfg.*member = *spec;
+    return spec.has_value();
+}
+
+template <class Spec>
+std::string
+specKeys()
+{
+    return specparse::usage(Spec::grammar(), std::string(4, ' '));
+}
+
+/** The four key=value spec flags. One entry drives both the --help
+ *  text and parseCli's handling of the flag. */
+struct SpecFlag
+{
+    const char *flag;
+    const char *what;    //!< usage text before the key list
+    const char *example; //!< usage text after it
+    std::string (*keys)();
+    bool (*take)(CliConfig &, const std::string &, std::string &);
+};
+
+constexpr SpecFlag specFlags[] = {
+    {"--fault-spec", "RAS fault injection",
+     "e.g. --fault-spec crc=1e-4,poison=1e-6",
+     &specKeys<FaultSpec>, &takeSpec<FaultSpec, &CliConfig::faults>},
+    {"--qos-spec", "CXL overload control",
+     "e.g. --qos-spec credits=24,policy=aimd",
+     &specKeys<QosSpec>, &takeSpec<QosSpec, &CliConfig::qos>},
+    {"--chaos-spec", "failure-lifecycle schedule",
+     "e.g. --chaos-spec link-down-at-ns=60000,\n"
+     "      remove-at-ns=100000,readd-at-ns=130000",
+     &specKeys<ChaosSpec>, &takeSpec<ChaosSpec, &CliConfig::chaos>},
+    {"--pool-spec",
+     "pooled-cluster scenario\n"
+     "                (pool mode only; machine-level specs do not\n"
+     "                apply)",
+     "e.g. --pool-spec hosts=4,crash-host=1,crash-at-ns=20000",
+     &specKeys<PoolSpec>, &takeSpec<PoolSpec, &CliConfig::poolSpec>},
+};
+
+const SpecFlag *
+findSpecFlag(const std::string &flag)
+{
+    for (const SpecFlag &sf : specFlags)
+        if (flag == sf.flag)
+            return &sf;
+    return nullptr;
+}
+
+std::string
+specUsage()
+{
+    std::string out;
+    for (const SpecFlag &sf : specFlags) {
+        std::string flag = sf.flag;
+        flag.resize(14, ' ');
+        out += "  " + flag + "key=value[,...] " + sf.what + ":\n"
+               + sf.keys() + "    " + sf.example + "\n";
+    }
+    return out;
+}
+
 } // namespace
 
 std::optional<std::uint64_t>
@@ -230,36 +299,7 @@ cliUsage()
         "  --seed    N   workload RNG seed           (default 42)\n"
         "  --jobs/-j N   host threads for sweep points (default 1;\n"
         "                0 = all cores; output identical for any N)\n"
-        "  --fault-spec  key=value[,...] RAS fault injection:\n"
-        "                crc= poison= timeout= drain= dram= (rates in\n"
-        "                [0,1]), stall-ns= timeout-ns= backoff-ns=\n"
-        "                retries= degrade= seed=\n"
-        "                e.g. --fault-spec crc=1e-4,poison=1e-6\n"
-        "  --qos-spec    key=value[,...] CXL overload control:\n"
-        "                credits= rd-credits= wr-credits= (M2S flow\n"
-        "                control), policy=none|linear|aimd target=\n"
-        "                ewma-ns= period-ns= ai= md= floor= slope=\n"
-        "                burst= line-ns= (host throttle)\n"
-        "                e.g. --qos-spec credits=24,policy=aimd\n"
-        "  --chaos-spec  key=value[,...] failure-lifecycle schedule:\n"
-        "                link-down-at-ns= retrain-ns= step-up-ns=\n"
-        "                crc-burst= (CRC errors at degrade ceiling\n"
-        "                that drop the link), remove-at-ns=\n"
-        "                readd-at-ns= contain=poison|abort abort-ns=\n"
-        "                offline-threshold= max-offline-pages= seed=\n"
-        "                e.g. --chaos-spec link-down-at-ns=60000,\n"
-        "                remove-at-ns=100000,readd-at-ns=130000\n"
-        "  --pool-spec   key=value[,...] pooled-cluster scenario\n"
-        "                (pool mode only; machine-level specs do not\n"
-        "                apply): hosts= devices= capacity-mb=\n"
-        "                window-mb= credits= arb=rr|fixed ops=\n"
-        "                read-frac= mlp= aggressor= crash-host=\n"
-        "                crash-at-ns= fence-check-ns= miss-threshold=\n"
-        "                scrub-ns-per-mb= contain=poison|abort\n"
-        "                poison-host= poison-every= port-down-host=\n"
-        "                port-down-at-ns= retrain-ns= seed=\n"
-        "                e.g. --pool-spec hosts=4,crash-host=1,\n"
-        "                crash-at-ns=20000\n"
+        + specUsage() +
         "  --watchdog-ns N   watchdog snapshot interval in ns\n"
         "  --trace-out FILE  write sampled request-lifecycle spans as\n"
         "                Chrome trace-event JSON (Perfetto-loadable)\n"
@@ -489,70 +529,17 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
             }
             cfg.jobs = static_cast<std::uint32_t>(*j);
             ++i;
-        } else if (a == "--fault-spec") {
+        } else if (const SpecFlag *sf = findSpecFlag(a)) {
             auto v = need(i);
             if (!v)
                 return std::nullopt;
             if (blankSpec(*v)) {
-                error = "empty fault-spec";
+                error = "empty " + a.substr(2);
                 return std::nullopt;
             }
-            std::string ferr;
-            auto fs = FaultSpec::parse(*v, ferr);
-            if (!fs) {
-                error = ferr;
+            if (!sf->take(cfg, *v, error))
                 return std::nullopt;
-            }
-            cfg.faults = *fs;
-            ++i;
-        } else if (a == "--qos-spec") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            if (blankSpec(*v)) {
-                error = "empty qos-spec";
-                return std::nullopt;
-            }
-            std::string qerr;
-            auto qs = QosSpec::parse(*v, qerr);
-            if (!qs) {
-                error = qerr;
-                return std::nullopt;
-            }
-            cfg.qos = *qs;
-            ++i;
-        } else if (a == "--chaos-spec") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            if (blankSpec(*v)) {
-                error = "empty chaos-spec";
-                return std::nullopt;
-            }
-            std::string cerr;
-            auto cs = ChaosSpec::parse(*v, cerr);
-            if (!cs) {
-                error = cerr;
-                return std::nullopt;
-            }
-            cfg.chaos = *cs;
-            ++i;
-        } else if (a == "--pool-spec") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            if (blankSpec(*v)) {
-                error = "empty pool-spec";
-                return std::nullopt;
-            }
-            std::string perr;
-            auto ps = PoolSpec::parse(*v, perr);
-            if (!ps) {
-                error = perr;
-                return std::nullopt;
-            }
-            cfg.poolSpec = *ps;
-            sawPoolSpec = true;
+            sawPoolSpec = sawPoolSpec || a == "--pool-spec";
             ++i;
         } else if (a == "--watchdog") {
             if (cfg.watchdogUs == 0.0)

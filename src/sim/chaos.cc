@@ -1,145 +1,68 @@
 /**
  * @file
- * ChaosSpec parsing/validation and ChaosStats merge/summary.
+ * ChaosSpec key table and validation, ChaosStats merge/summary.
  */
 
 #include "sim/chaos.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
-#include "sim/specparse.hh"
 #include "sim/statmerge.hh"
 
 namespace cxlmemo
 {
 
-namespace
-{
-
-using specparse::parseF;
-using specparse::parseU32;
-using specparse::parseU64;
-
-} // namespace
-
 const char *
 containPolicyName(ContainPolicy p)
 {
-    switch (p) {
-    case ContainPolicy::Poison:
-        return "poison";
-    case ContainPolicy::Abort:
-        return "abort";
-    }
-    return "?";
+    return containPolicyNames[static_cast<int>(p)].name;
+}
+
+const specparse::Grammar<ChaosSpec> &
+ChaosSpec::grammar()
+{
+    using specparse::anyTime;
+    using specparse::Type;
+    using specparse::positive;
+    static const specparse::Field<ChaosSpec> fields[] = {
+        {"link-down-at-ns", Type::U64, &ChaosSpec::linkDownAtNs, anyTime,
+         "scheduled link-down time (0 = never)"},
+        {"retrain-ns", Type::NsReal, &ChaosSpec::retrainNs, positive,
+         "link blocked this long after down"},
+        {"step-up-ns", Type::NsReal, &ChaosSpec::stepUpNs, positive,
+         "per width level back up after retrain"},
+        {"crc-burst", Type::U32, &ChaosSpec::crcBurstTrigger, {},
+         "ceiling CRC errors that drop the link"},
+        {"remove-at-ns", Type::U64, &ChaosSpec::removeAtNs, anyTime,
+         "device hot-remove time (0 = never)"},
+        {"readd-at-ns", Type::U64, &ChaosSpec::readdAtNs, anyTime,
+         "device re-add time (0 = never)"},
+        {"contain", Type::Enum, specparse::enumRef<&ChaosSpec::contain>(),
+         {}, "fate of requests caught by a removal", containPolicyNames},
+        {"abort-ns", Type::NsReal, &ChaosSpec::abortNs, positive,
+         "latency of an aborted completion"},
+        {"offline-threshold", Type::U32, &ChaosSpec::offlineThreshold, {},
+         "poisons that offline a page (0 = off)"},
+        {"max-offline-pages", Type::U32, &ChaosSpec::maxOfflinePages,
+         {1, 4096}, "cap on offlined pages"},
+        {"seed", Type::U64, &ChaosSpec::seed, {},
+         "reserved for randomized drills"},
+    };
+    static const specparse::Grammar<ChaosSpec> g{"chaos-spec", fields};
+    return g;
 }
 
 void
 ChaosSpec::validate() const
 {
-    if (!(retrainNs > 0.0))
-        throw std::invalid_argument(
-            "ChaosSpec: retrain-ns must be positive");
-    if (!(stepUpNs > 0.0))
-        throw std::invalid_argument(
-            "ChaosSpec: step-up-ns must be positive");
-    if (!(abortNs > 0.0))
-        throw std::invalid_argument(
-            "ChaosSpec: abort-ns must be positive");
+    specparse::check(grammar(), *this);
     if (readdAtNs > 0 && removeAtNs == 0)
         throw std::invalid_argument(
-            "ChaosSpec: readd-at-ns needs remove-at-ns");
+            "chaos-spec: readd-at-ns needs remove-at-ns");
     if (readdAtNs > 0 && readdAtNs <= removeAtNs)
         throw std::invalid_argument(
-            "ChaosSpec: readd-at-ns must be after remove-at-ns");
-    if (maxOfflinePages == 0 || maxOfflinePages > 4096)
-        throw std::invalid_argument(
-            "ChaosSpec: max-offline-pages must be in [1,4096]");
-}
-
-std::string
-ChaosSpec::toString() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "link-down-at-ns=%llu,retrain-ns=%g,step-up-ns=%g,"
-                  "crc-burst=%u,remove-at-ns=%llu,readd-at-ns=%llu,"
-                  "contain=%s,offline-threshold=%u",
-                  static_cast<unsigned long long>(linkDownAtNs),
-                  retrainNs, stepUpNs, crcBurstTrigger,
-                  static_cast<unsigned long long>(removeAtNs),
-                  static_cast<unsigned long long>(readdAtNs),
-                  containPolicyName(contain), offlineThreshold);
-    return buf;
-}
-
-std::optional<ChaosSpec>
-ChaosSpec::parse(const std::string &text, std::string &error)
-{
-    ChaosSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "chaos-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double f = 0.0;
-        std::uint64_t n = 0;
-        std::uint32_t n32 = 0;
-        if (key == "link-down-at-ns" && parseU64(value, n)) {
-            spec.linkDownAtNs = n;
-        } else if (key == "retrain-ns" && parseF(value, f)) {
-            spec.retrainNs = f;
-        } else if (key == "step-up-ns" && parseF(value, f)) {
-            spec.stepUpNs = f;
-        } else if (key == "crc-burst" && parseU32(value, n32)) {
-            spec.crcBurstTrigger = n32;
-        } else if (key == "remove-at-ns" && parseU64(value, n)) {
-            spec.removeAtNs = n;
-        } else if (key == "readd-at-ns" && parseU64(value, n)) {
-            spec.readdAtNs = n;
-        } else if (key == "contain") {
-            if (value == "poison") {
-                spec.contain = ContainPolicy::Poison;
-            } else if (value == "abort") {
-                spec.contain = ContainPolicy::Abort;
-            } else {
-                error = "bad contain policy (poison|abort): " + value;
-                return std::nullopt;
-            }
-        } else if (key == "abort-ns" && parseF(value, f)) {
-            spec.abortNs = f;
-        } else if (key == "offline-threshold" && parseU32(value, n32)) {
-            spec.offlineThreshold = n32;
-        } else if (key == "max-offline-pages" && parseU32(value, n32)) {
-            spec.maxOfflinePages = n32;
-        } else if (key == "seed" && parseU64(value, n)) {
-            spec.seed = n;
-        } else {
-            error = "bad chaos-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+            "chaos-spec: readd-at-ns must be after remove-at-ns");
 }
 
 void

@@ -30,6 +30,7 @@
 #include <optional>
 #include <string>
 
+#include "sim/specparse.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
@@ -43,6 +44,12 @@ enum class ContainPolicy : std::uint8_t
 };
 
 const char *containPolicyName(ContainPolicy p);
+
+/** The values of the spec grammars' contain= key. */
+inline constexpr specparse::Name containPolicyNames[] = {
+    {"poison", static_cast<int>(ContainPolicy::Poison)},
+    {"abort", static_cast<int>(ContainPolicy::Abort)},
+};
 
 /**
  * Parsed `--chaos-spec`. All times are absolute simulation nanoseconds
@@ -96,19 +103,29 @@ struct ChaosSpec
                || offlineThreshold > 0;
     }
 
+    /** The `--chaos-spec` key table (sim/chaos.cc); `memo --help`
+     *  lists it. */
+    static const specparse::Grammar<ChaosSpec> &grammar();
+
     /** @throw std::invalid_argument on out-of-range values. */
     void validate() const;
 
-    std::string toString() const;
+    /** Render in the `--chaos-spec` grammar (every key). */
+    std::string
+    toString() const
+    {
+        return specparse::print(grammar(), *this);
+    }
 
     /**
-     * Parse "key=value,key=value" (keys: link-down-at-ns, retrain-ns,
-     * step-up-ns, crc-burst, remove-at-ns, readd-at-ns, contain,
-     * abort-ns, offline-threshold, max-offline-pages, seed).
+     * Parse "key=value,key=value".
      * @return std::nullopt plus an error string on bad input.
      */
-    static std::optional<ChaosSpec> parse(const std::string &text,
-                                          std::string &error);
+    static std::optional<ChaosSpec>
+    parse(const std::string &text, std::string &error)
+    {
+        return specparse::parse(grammar(), text, error);
+    }
 };
 
 /**

@@ -32,36 +32,17 @@
 #include <string>
 
 #include "sim/rng.hh"
+#include "sim/specparse.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
 {
 
 /**
- * Per-component fault model, parsed from the `--fault-spec` grammar:
- *
- *   key=value[,key=value...]
- *
- *   crc=RATE        per-flit CRC error probability on each link
- *                   direction (triggers link-level retry)
- *   poison=RATE     per-DRAM-read poisoned-cacheline probability
- *   timeout=RATE    per-request controller-timeout probability
- *                   (triggers host retry with exponential backoff)
- *   drain=RATE      per-write probability of a stuck/slow-drain
- *                   episode in the device write buffer
- *   dram=RATE       per-access probability of a transient back-end
- *                   DRAM channel stall
- *   stall-ns=NS     episode length for drain and DRAM stalls
- *   timeout-ns=NS   host completion-timer value
- *   backoff-ns=NS   base host-retry backoff (doubles per attempt,
- *                   capped at 16x the base)
- *   retries=N       max host retries per request (1..16)
- *   degrade=N       CRC errors before the link downgrades width
- *                   (halving rawGBps, at most twice); 0 = never
- *   degrade-window-ns=NS
- *                   burst window: at most one downgrade per window,
- *                   and the burst counter re-arms at window expiry
- *   seed=N          fault RNG stream seed
+ * Per-component fault model, parsed from the `--fault-spec` grammar
+ * (key=value[,key=value...]). The keys, their ranges and help text
+ * are the table in FaultSpec::grammar() (sim/fault.cc); `memo --help`
+ * lists them.
  */
 struct FaultSpec
 {
@@ -99,19 +80,29 @@ struct FaultSpec
                || dramStallRate > 0.0;
     }
 
+    /** The `--fault-spec` key table. */
+    static const specparse::Grammar<FaultSpec> &grammar();
+
     /** Throws std::invalid_argument on out-of-range values. */
     void validate() const;
 
-    /** Render in the `--fault-spec` grammar (only non-default keys). */
-    std::string toString() const;
+    /** Render in the `--fault-spec` grammar (every key). */
+    std::string
+    toString() const
+    {
+        return specparse::print(grammar(), *this);
+    }
 
     /**
      * Parse the `--fault-spec` grammar.
      * @return std::nullopt plus a one-line reason in @p error on
      *         malformed or out-of-range input.
      */
-    static std::optional<FaultSpec> parse(const std::string &text,
-                                          std::string &error);
+    static std::optional<FaultSpec>
+    parse(const std::string &text, std::string &error)
+    {
+        return specparse::parse(grammar(), text, error);
+    }
 };
 
 /** Machine-wide RAS counters; every recovery action is accounted. */

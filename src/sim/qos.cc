@@ -3,25 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
-
-#include "sim/specparse.hh"
 
 namespace cxlmemo
 {
 
+namespace
+{
+
+const specparse::Name qosPolicyNames[] = {
+    {"none", static_cast<int>(QosPolicy::None)},
+    {"linear", static_cast<int>(QosPolicy::Linear)},
+    {"aimd", static_cast<int>(QosPolicy::Aimd)},
+};
+
+} // namespace
+
 const char *
 qosPolicyName(QosPolicy p)
 {
-    switch (p) {
-      case QosPolicy::None:
-        return "none";
-      case QosPolicy::Linear:
-        return "linear";
-      case QosPolicy::Aimd:
-        return "aimd";
-    }
-    return "?";
+    return qosPolicyNames[static_cast<int>(p)].name;
 }
 
 const char *
@@ -40,134 +40,46 @@ devLoadName(DevLoad l)
     return "?";
 }
 
-namespace
+const specparse::Grammar<QosSpec> &
+QosSpec::grammar()
 {
-
-using specparse::parseF;
-using specparse::parseU32;
-
-void
-requireFraction(double v, const char *what)
-{
-    if (!(v > 0.0 && v <= 1.0)) {
-        throw std::invalid_argument(std::string("QosSpec: ") + what
-                                    + " must be in (0,1]");
-    }
+    using specparse::Type;
+    using specparse::positive;
+    static const specparse::Field<QosSpec> fields[] = {
+        {"credits", Type::U32, &QosSpec::rdCredits, {},
+         "sets rd-credits and wr-credits", {}, &QosSpec::wrCredits, true},
+        {"rd-credits", Type::U32, &QosSpec::rdCredits, {0, 4096},
+         "read-request M2S credits (0 = uncapped)"},
+        {"wr-credits", Type::U32, &QosSpec::wrCredits, {0, 4096},
+         "write-data M2S credits (0 = uncapped)"},
+        {"policy", Type::Enum, specparse::enumRef<&QosSpec::policy>(), {},
+         "host throttle policy", qosPolicyNames},
+        {"target", Type::Real, &QosSpec::target, {0, 2, true},
+         "DevLoad target occupancy fraction"},
+        {"ewma-ns", Type::Ns, &QosSpec::ewmaTau, positive,
+         "load-signal EWMA time constant"},
+        {"period-ns", Type::Ns, &QosSpec::adjustPeriod, positive,
+         "min time between rate adjustments"},
+        {"ai", Type::Real, &QosSpec::ai, {0, 1, true}, "AIMD additive step"},
+        {"md", Type::Real, &QosSpec::md, {0, 1, true, true},
+         "AIMD multiplicative decrease factor"},
+        {"floor", Type::Real, &QosSpec::floor, {0, 1, true},
+         "minimum host rate fraction"},
+        {"slope", Type::Real, &QosSpec::slope, positive,
+         "linear-policy slope"},
+        {"burst", Type::U32, &QosSpec::burstLines, {1, 64},
+         "token-bucket burst, in lines"},
+        {"line-ns", Type::Ns, &QosSpec::lineCost, positive,
+         "unthrottled per-line issue cost"},
+    };
+    static const specparse::Grammar<QosSpec> g{"qos-spec", fields};
+    return g;
 }
-
-} // namespace
 
 void
 QosSpec::validate() const
 {
-    if (rdCredits > 4096 || wrCredits > 4096)
-        throw std::invalid_argument(
-            "QosSpec: credits must be at most 4096");
-    if (!(target > 0.0 && target <= 2.0))
-        throw std::invalid_argument(
-            "QosSpec: target must be in (0,2]");
-    if (ewmaTau == 0)
-        throw std::invalid_argument(
-            "QosSpec: ewma-ns must be positive");
-    if (adjustPeriod == 0)
-        throw std::invalid_argument(
-            "QosSpec: period-ns must be positive");
-    requireFraction(ai, "ai");
-    if (!(md > 0.0 && md < 1.0))
-        throw std::invalid_argument("QosSpec: md must be in (0,1)");
-    requireFraction(floor, "floor");
-    if (!(slope > 0.0))
-        throw std::invalid_argument("QosSpec: slope must be positive");
-    if (burstLines == 0 || burstLines > 64)
-        throw std::invalid_argument(
-            "QosSpec: burst must be in [1,64]");
-    if (lineCost == 0)
-        throw std::invalid_argument(
-            "QosSpec: line-ns must be positive");
-}
-
-std::string
-QosSpec::toString() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "rd-credits=%u,wr-credits=%u,policy=%s,target=%g,"
-                  "floor=%g,burst=%u",
-                  rdCredits, wrCredits, qosPolicyName(policy), target,
-                  floor, burstLines);
-    return buf;
-}
-
-std::optional<QosSpec>
-QosSpec::parse(const std::string &text, std::string &error)
-{
-    QosSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "qos-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double f = 0.0;
-        std::uint32_t n = 0;
-        if (key == "credits" && parseU32(value, n)) {
-            spec.rdCredits = n;
-            spec.wrCredits = n;
-        } else if (key == "rd-credits" && parseU32(value, n)) {
-            spec.rdCredits = n;
-        } else if (key == "wr-credits" && parseU32(value, n)) {
-            spec.wrCredits = n;
-        } else if (key == "policy") {
-            if (value == "none") {
-                spec.policy = QosPolicy::None;
-            } else if (value == "linear") {
-                spec.policy = QosPolicy::Linear;
-            } else if (value == "aimd") {
-                spec.policy = QosPolicy::Aimd;
-            } else {
-                error = "bad qos policy (none|linear|aimd): " + value;
-                return std::nullopt;
-            }
-        } else if (key == "target" && parseF(value, f)) {
-            spec.target = f;
-        } else if (key == "ewma-ns" && parseF(value, f) && f > 0.0) {
-            spec.ewmaTau = ticksFromNs(f);
-        } else if (key == "period-ns" && parseF(value, f) && f > 0.0) {
-            spec.adjustPeriod = ticksFromNs(f);
-        } else if (key == "ai" && parseF(value, f)) {
-            spec.ai = f;
-        } else if (key == "md" && parseF(value, f)) {
-            spec.md = f;
-        } else if (key == "floor" && parseF(value, f)) {
-            spec.floor = f;
-        } else if (key == "slope" && parseF(value, f)) {
-            spec.slope = f;
-        } else if (key == "burst" && parseU32(value, n)) {
-            spec.burstLines = n;
-        } else if (key == "line-ns" && parseF(value, f) && f > 0.0) {
-            spec.lineCost = ticksFromNs(f);
-        } else {
-            error = "bad qos-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+    specparse::check(grammar(), *this);
 }
 
 void

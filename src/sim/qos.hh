@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/specparse.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
@@ -72,25 +73,9 @@ const char *devLoadName(DevLoad l);
 
 /**
  * Overload-control configuration, parsed from the `--qos-spec`
- * grammar:
- *
- *   key=value[,key=value...]
- *
- *   credits=N     M2S credits for both message classes (0 = uncapped)
- *   rd-credits=N  read-request (header) class credits
- *   wr-credits=N  write-data class credits
- *   policy=P      none | linear | aimd host throttle policy
- *   target=F      DevLoad target occupancy fraction (default 0.75)
- *   ewma-ns=F     load-signal EWMA time constant (default 2000)
- *   period-ns=F   min time between host rate adjustments (default 1000)
- *   ai=F          AIMD additive step (default 0.05)
- *   md=F          AIMD multiplicative decrease factor (default 0.5)
- *   floor=F       minimum host rate fraction (default 0.05)
- *   slope=F       linear-policy slope (default 1.0)
- *   burst=N       token-bucket burst, cachelines (default 8 = one
- *                 core's WC buffers, preserving same-row runs)
- *   line-ns=F     nominal unthrottled per-line issue cost (default
- *                 5.5, the calibrated WC-buffer eviction cost)
+ * grammar (key=value[,key=value...]). The keys, their ranges and help
+ * text are the table in QosSpec::grammar() (sim/qos.cc); `memo --help`
+ * lists them.
  */
 struct QosSpec
 {
@@ -105,8 +90,12 @@ struct QosSpec
     double md = 0.5;     //!< AIMD multiplicative decrease factor
     double floor = 0.05; //!< minimum rate fraction
     double slope = 1.0;  //!< linear-policy slope
-    std::uint32_t burstLines = 8;     //!< token-bucket burst (lines)
-    Tick lineCost = ticksFromNs(5.5); //!< unthrottled per-line cost
+    /** Token-bucket burst in lines: one core's 8 WC buffers, so a
+     *  throttled core still issues same-row runs. */
+    std::uint32_t burstLines = 8;
+    /** Unthrottled per-line issue cost: the calibrated WC-buffer
+     *  eviction cost. */
+    Tick lineCost = ticksFromNs(5.5);
 
     /** @return true when any overload mechanism is active. */
     bool
@@ -117,19 +106,29 @@ struct QosSpec
 
     bool creditsEnabled() const { return rdCredits > 0 || wrCredits > 0; }
 
+    /** The `--qos-spec` key table. */
+    static const specparse::Grammar<QosSpec> &grammar();
+
     /** Throws std::invalid_argument on out-of-range values. */
     void validate() const;
 
-    /** Render in the `--qos-spec` grammar (only non-default keys). */
-    std::string toString() const;
+    /** Render in the `--qos-spec` grammar (every key). */
+    std::string
+    toString() const
+    {
+        return specparse::print(grammar(), *this);
+    }
 
     /**
      * Parse the `--qos-spec` grammar.
      * @return std::nullopt plus a one-line reason in @p error on
      *         malformed or out-of-range input.
      */
-    static std::optional<QosSpec> parse(const std::string &text,
-                                        std::string &error);
+    static std::optional<QosSpec>
+    parse(const std::string &text, std::string &error)
+    {
+        return specparse::parse(grammar(), text, error);
+    }
 };
 
 /**

@@ -13,7 +13,6 @@
 
 #include "cxl/device.hh"
 #include "sim/logging.hh"
-#include "sim/specparse.hh"
 #include "system/machine.hh"
 
 namespace cxlmemo
@@ -21,10 +20,6 @@ namespace cxlmemo
 
 namespace
 {
-
-using specparse::parseF;
-using specparse::parseU32;
-using specparse::parseU64;
 
 constexpr std::uint64_t fnvBasis = 1469598103934665603ULL;
 constexpr std::uint64_t fnvPrime = 1099511628211ULL;
@@ -37,20 +32,6 @@ fnv(std::uint64_t h, std::uint64_t v)
         h *= fnvPrime;
     }
     return h;
-}
-
-bool
-parseHost(const std::string &v, std::int32_t &out)
-{
-    if (v == "-1") { // disabled: what toString() prints for "off"
-        out = -1;
-        return true;
-    }
-    std::uint64_t n = 0;
-    if (!parseU64(v, n) || n > 0xffff)
-        return false;
-    out = static_cast<std::int32_t>(n);
-    return true;
 }
 
 } // namespace
@@ -92,186 +73,99 @@ PoolSpec::isolationBaseline() const
     return b;
 }
 
+const specparse::Grammar<PoolSpec> &
+PoolSpec::grammar()
+{
+    using specparse::anyTime;
+    using specparse::Type;
+    using specparse::positive;
+    static const specparse::Name arbNames[] = {
+        {"rr", static_cast<int>(CxlSwitchParams::Arb::RoundRobin)},
+        {"fixed", static_cast<int>(CxlSwitchParams::Arb::Fixed)},
+    };
+    constexpr double maxDevices = 8;
+    constexpr double maxCapacityMb = 64 * 1024;
+    constexpr double maxPoolMb = maxDevices * maxCapacityMb;
+    static const specparse::Field<PoolSpec> fields[] = {
+        {"hosts", Type::U32, &PoolSpec::hosts, {1, 16},
+         "upstream hosts (switch ports)"},
+        {"devices", Type::U32, &PoolSpec::devices, {1, maxDevices},
+         "pooled devices behind the switch"},
+        {"capacity-mb", Type::U64, &PoolSpec::capacityMb, {1, maxCapacityMb},
+         "per-device capacity in MiB"},
+        {"window-mb", Type::U64, &PoolSpec::windowMb, {0, maxPoolMb},
+         "per-host grant in MiB (0 = even split)"},
+        {"credits", Type::U32, &PoolSpec::credits, {},
+         "per-port rd+wr credits (0 = uncapped)"},
+        {"arb", Type::Enum, specparse::enumRef<&PoolSpec::arb>(), {},
+         "switch arbitration", arbNames},
+        {"ops", Type::U64, &PoolSpec::ops, {0, 1e8},
+         "operations per host"},
+        {"read-frac", Type::Real, &PoolSpec::readFrac, {0, 1},
+         "read fraction (the aggressor ignores it)"},
+        {"mlp", Type::U32, &PoolSpec::mlp, {1, 64},
+         "closed-loop slots per host"},
+        {"aggressor", Type::Host, &PoolSpec::aggressor, {},
+         "host that floods nt-stores"},
+        {"crash-host", Type::Host, &PoolSpec::crashHost, {},
+         "host that stops at crash-at-ns"},
+        {"crash-at-ns", Type::NsReal, &PoolSpec::crashAtNs, anyTime,
+         "crash time"},
+        {"fence-check-ns", Type::NsReal, &PoolSpec::fenceCheckNs, positive,
+         "heartbeat and fence-check period"},
+        {"miss-threshold", Type::U32, &PoolSpec::missThreshold, {1},
+         "silent periods before fencing"},
+        // Bounded so that scrubbing the largest pool still fits the
+        // clock.
+        {"scrub-ns-per-mb", Type::NsReal, &PoolSpec::scrubNsPerMb,
+         {0, specparse::maxNs / maxPoolMb}, "quarantine scrub cost"},
+        {"contain", Type::Enum, specparse::enumRef<&PoolSpec::contain>(),
+         {}, "fate of a fenced host's requests", containPolicyNames},
+        {"poison-host", Type::Host, &PoolSpec::poisonHost, {},
+         "host whose reads come back poisoned"},
+        {"poison-every", Type::U64, &PoolSpec::poisonEvery, {},
+         "every Nth read of poison-host is poisoned"},
+        {"port-down-host", Type::Host, &PoolSpec::portDownHost, {},
+         "host whose switch port goes down"},
+        {"port-down-at-ns", Type::NsReal, &PoolSpec::portDownAtNs,
+         anyTime, "port outage time"},
+        {"retrain-ns", Type::NsReal, &PoolSpec::retrainNs, positive,
+         "port retrain latency"},
+        {"seed", Type::U64, &PoolSpec::seed, {}, "workload RNG seed"},
+    };
+    static const specparse::Grammar<PoolSpec> g{"pool-spec", fields};
+    return g;
+}
+
 void
 PoolSpec::validate() const
 {
-    if (hosts == 0 || hosts > 16)
-        throw std::invalid_argument("PoolSpec: hosts must be in [1,16]");
-    if (devices == 0 || devices > 8)
-        throw std::invalid_argument(
-            "PoolSpec: devices must be in [1,8]");
-    if (capacityMb == 0 || capacityMb > 64 * 1024)
-        throw std::invalid_argument(
-            "PoolSpec: capacity-mb must be in [1,65536]");
+    specparse::check(grammar(), *this);
+    const auto fail = [](const char *why) {
+        throw std::invalid_argument(std::string("pool-spec: ") + why);
+    };
     const std::uint64_t total = capacityMb * devices;
     if (windowMb * hosts > total)
-        throw std::invalid_argument(
-            "PoolSpec: window-mb * hosts exceeds the pool");
+        fail("window-mb * hosts exceeds the pool");
     if (windowMb == 0 && hosts > total)
-        throw std::invalid_argument(
-            "PoolSpec: more hosts than grantable segments");
-    if (readFrac < 0.0 || readFrac > 1.0)
-        throw std::invalid_argument(
-            "PoolSpec: read-frac must be in [0,1]");
-    if (mlp == 0 || mlp > 64)
-        throw std::invalid_argument("PoolSpec: mlp must be in [1,64]");
+        fail("more hosts than grantable segments");
     // Slot-partitioned addressing needs at least one line per slot.
     const std::uint64_t winBytes =
         (windowMb > 0 ? windowMb : total / hosts) * miB;
     if (winBytes / cachelineBytes < mlp)
-        throw std::invalid_argument(
-            "PoolSpec: per-host window smaller than mlp lines");
-    if (!(fenceCheckNs > 0.0))
-        throw std::invalid_argument(
-            "PoolSpec: fence-check-ns must be positive");
-    if (missThreshold == 0)
-        throw std::invalid_argument(
-            "PoolSpec: miss-threshold must be >= 1");
-    if (scrubNsPerMb < 0.0)
-        throw std::invalid_argument(
-            "PoolSpec: scrub-ns-per-mb must be >= 0");
-    if (!(retrainNs > 0.0))
-        throw std::invalid_argument(
-            "PoolSpec: retrain-ns must be positive");
+        fail("per-host window smaller than mlp lines");
     const auto inRange = [this](std::int32_t h) {
         return h < 0 || static_cast<std::uint32_t>(h) < hosts;
     };
     if (!inRange(aggressor) || !inRange(crashHost)
-        || !inRange(poisonHost) || !inRange(portDownHost)) {
-        throw std::invalid_argument(
-            "PoolSpec: host index out of range");
-    }
+        || !inRange(poisonHost) || !inRange(portDownHost))
+        fail("host index out of range");
     if (crashHost >= 0 && !(crashAtNs > 0.0))
-        throw std::invalid_argument(
-            "PoolSpec: crash-host needs crash-at-ns");
+        fail("crash-host needs crash-at-ns");
     if (portDownHost >= 0 && !(portDownAtNs > 0.0))
-        throw std::invalid_argument(
-            "PoolSpec: port-down-host needs port-down-at-ns");
+        fail("port-down-host needs port-down-at-ns");
     if ((poisonHost >= 0) != (poisonEvery > 0))
-        throw std::invalid_argument(
-            "PoolSpec: poison-host and poison-every go together");
-    if (ops > 100'000'000ULL)
-        throw std::invalid_argument("PoolSpec: ops too large");
-}
-
-std::string
-PoolSpec::toString() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "hosts=%u,devices=%u,capacity-mb=%llu,window-mb=%llu,"
-        "credits=%u,arb=%s,ops=%llu,read-frac=%g,mlp=%u,aggressor=%d,"
-        "crash-host=%d,crash-at-ns=%g,fence-check-ns=%g,"
-        "miss-threshold=%u,scrub-ns-per-mb=%g,contain=%s,"
-        "poison-host=%d,poison-every=%llu,port-down-host=%d,"
-        "port-down-at-ns=%g,retrain-ns=%g,seed=%llu",
-        hosts, devices, static_cast<unsigned long long>(capacityMb),
-        static_cast<unsigned long long>(windowMb), credits,
-        arb == CxlSwitchParams::Arb::RoundRobin ? "rr" : "fixed",
-        static_cast<unsigned long long>(ops), readFrac, mlp, aggressor,
-        crashHost, crashAtNs, fenceCheckNs, missThreshold, scrubNsPerMb,
-        containPolicyName(contain), poisonHost,
-        static_cast<unsigned long long>(poisonEvery), portDownHost,
-        portDownAtNs, retrainNs,
-        static_cast<unsigned long long>(seed));
-    return buf;
-}
-
-std::optional<PoolSpec>
-PoolSpec::parse(const std::string &text, std::string &error)
-{
-    PoolSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "pool-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double f = 0.0;
-        std::uint64_t n = 0;
-        std::uint32_t n32 = 0;
-        std::int32_t h = -1;
-        if (key == "hosts" && parseU32(value, n32)) {
-            spec.hosts = n32;
-        } else if (key == "devices" && parseU32(value, n32)) {
-            spec.devices = n32;
-        } else if (key == "capacity-mb" && parseU64(value, n)) {
-            spec.capacityMb = n;
-        } else if (key == "window-mb" && parseU64(value, n)) {
-            spec.windowMb = n;
-        } else if (key == "credits" && parseU32(value, n32)) {
-            spec.credits = n32;
-        } else if (key == "arb") {
-            if (value == "rr") {
-                spec.arb = CxlSwitchParams::Arb::RoundRobin;
-            } else if (value == "fixed") {
-                spec.arb = CxlSwitchParams::Arb::Fixed;
-            } else {
-                error = "bad arb (rr|fixed): " + value;
-                return std::nullopt;
-            }
-        } else if (key == "ops" && parseU64(value, n)) {
-            spec.ops = n;
-        } else if (key == "read-frac" && parseF(value, f)) {
-            spec.readFrac = f;
-        } else if (key == "mlp" && parseU32(value, n32)) {
-            spec.mlp = n32;
-        } else if (key == "aggressor" && parseHost(value, h)) {
-            spec.aggressor = h;
-        } else if (key == "crash-host" && parseHost(value, h)) {
-            spec.crashHost = h;
-        } else if (key == "crash-at-ns" && parseF(value, f)) {
-            spec.crashAtNs = f;
-        } else if (key == "fence-check-ns" && parseF(value, f)) {
-            spec.fenceCheckNs = f;
-        } else if (key == "miss-threshold" && parseU32(value, n32)) {
-            spec.missThreshold = n32;
-        } else if (key == "scrub-ns-per-mb" && parseF(value, f)) {
-            spec.scrubNsPerMb = f;
-        } else if (key == "contain") {
-            if (value == "poison") {
-                spec.contain = ContainPolicy::Poison;
-            } else if (value == "abort") {
-                spec.contain = ContainPolicy::Abort;
-            } else {
-                error = "bad contain policy (poison|abort): " + value;
-                return std::nullopt;
-            }
-        } else if (key == "poison-host" && parseHost(value, h)) {
-            spec.poisonHost = h;
-        } else if (key == "poison-every" && parseU64(value, n)) {
-            spec.poisonEvery = n;
-        } else if (key == "port-down-host" && parseHost(value, h)) {
-            spec.portDownHost = h;
-        } else if (key == "port-down-at-ns" && parseF(value, f)) {
-            spec.portDownAtNs = f;
-        } else if (key == "retrain-ns" && parseF(value, f)) {
-            spec.retrainNs = f;
-        } else if (key == "seed" && parseU64(value, n)) {
-            spec.seed = n;
-        } else {
-            error = "bad pool-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+        fail("poison-host and poison-every go together");
 }
 
 /* ----------------------------- HostDigest ------------------------ */

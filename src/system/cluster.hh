@@ -63,6 +63,7 @@
 #include "sim/metrics.hh"
 #include "sim/observability.hh"
 #include "sim/rng.hh"
+#include "sim/specparse.hh"
 #include "sim/tailcap.hh"
 #include "sim/trace.hh"
 #include "sim/watchdog.hh"
@@ -75,8 +76,9 @@ class CxlMemDevice;
 /**
  * Pooled-cluster scenario description (the `--pool-spec` grammar).
  * Key=value, comma separated; unknown keys and malformed values are
- * parse errors. All disturbances are off by default: the default spec
- * is a clean N-host run.
+ * parse errors. The keys are the table in PoolSpec::grammar()
+ * (system/cluster.cc); `memo --help` lists them. All disturbances
+ * are off by default: the default spec is a clean N-host run.
  */
 struct PoolSpec
 {
@@ -127,14 +129,25 @@ struct PoolSpec
      *  the isolation invariant compares against. */
     PoolSpec isolationBaseline() const;
 
+    /** The `--pool-spec` key table. */
+    static const specparse::Grammar<PoolSpec> &grammar();
+
     /** @throw std::invalid_argument on out-of-range values. */
     void validate() const;
 
-    std::string toString() const;
+    /** Render in the `--pool-spec` grammar (every key). */
+    std::string
+    toString() const
+    {
+        return specparse::print(grammar(), *this);
+    }
 
     /** Parse "k=v,k=v"; std::nullopt + @p error on failure. */
-    static std::optional<PoolSpec> parse(const std::string &text,
-                                         std::string &error);
+    static std::optional<PoolSpec>
+    parse(const std::string &text, std::string &error)
+    {
+        return specparse::parse(grammar(), text, error);
+    }
 };
 
 /**

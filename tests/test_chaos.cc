@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -90,6 +91,16 @@ TEST(ChaosSpec, RejectsMalformedInput)
     EXPECT_FALSE(
         ChaosSpec::parse("link-down-at-ns=18446744073709551616", err)
             .has_value());
+    // Times must be finite, fit the clock and, where positive, be at
+    // least one tick.
+    for (const char *text :
+         {"link-down-at-ns=18446744073709551615", "step-up-ns=inf",
+          "retrain-ns=nan", "abort-ns=1e300", "retrain-ns=0.0001",
+          "remove-at-ns=9223372036854775808"}) {
+        err.clear();
+        EXPECT_FALSE(ChaosSpec::parse(text, err).has_value()) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
 }
 
 TEST(ChaosSpec, ValidateThrowsOnBadValues)
@@ -103,6 +114,12 @@ TEST(ChaosSpec, ValidateThrowsOnBadValues)
     s = ChaosSpec{};
     s.removeAtNs = 20;
     s.readdAtNs = 10; // re-add before the remove
+    EXPECT_THROW(s.validate(), std::invalid_argument);
+    s = ChaosSpec{};
+    s.stepUpNs = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(s.validate(), std::invalid_argument);
+    s = ChaosSpec{};
+    s.retrainNs = 1e-5; // positive, but 0 ticks
     EXPECT_THROW(s.validate(), std::invalid_argument);
     EXPECT_NO_THROW(ChaosSpec{}.validate());
 }
@@ -118,28 +135,48 @@ TEST(ChaosSpec, ToStringRoundTrips)
     const auto again = ChaosSpec::parse(spec->toString(), err);
     ASSERT_TRUE(again.has_value()) << err << " <- " << spec->toString();
     EXPECT_EQ(again->toString(), spec->toString());
+
+    // Every key off its default, in table order, prints back exactly.
+    const std::string every =
+        "link-down-at-ns=50000,retrain-ns=1500.5,step-up-ns=2500,"
+        "crc-burst=8,remove-at-ns=80000,readd-at-ns=90000,"
+        "contain=abort,abort-ns=300,offline-threshold=3,"
+        "max-offline-pages=16,seed=9";
+    const auto full = ChaosSpec::parse(every, err);
+    ASSERT_TRUE(full.has_value()) << err;
+    EXPECT_EQ(full->toString(), every);
 }
 
 /**
  * Property-style fuzz over all four spec parsers: whatever the
  * input, parse() must either return a spec or set an error -- never
- * crash, never throw (ASan-clean by CI's chaos-smoke job). Inputs
- * are built from a deterministic RNG so a failure reproduces.
+ * crash, never throw (ASan-clean by CI's chaos-smoke job) -- and a
+ * spec that parses must also validate. Inputs are built from a
+ * deterministic RNG so a failure reproduces.
  */
 TEST(SpecFuzz, MalformedSpecsNeverCrashAnyParser)
 {
-    const std::vector<std::string> atoms = {
-        "crc",       "poison",   "credits", "policy",
-        "link-down-at-ns", "retrain-ns", "remove-at-ns", "contain",
-        "offline-threshold", "seed",  "degrade", "burst",
-        "hosts", "devices", "capacity-mb", "window-mb", "aggressor",
-        "crash-host", "crash-at-ns", "fence-check-ns", "arb", "rr",
-        "0",  "1",  "-1", "1e-4", "2.5", "1e309", "nan", "x",
-        "poison|abort", "aimd",   "abort",   "",
-        "=",  ",",  "==", ",,",   " ",   "\t",   "%s",  "\xff",
+    // The vocabulary: every key and enum name of the four tables,
+    // plus values and separators around the edges of every type.
+    std::vector<std::string> atoms = {
+        "0",  "1",  "-1", "1e-4", "2.5", "1e309", "nan", "inf", "x",
+        "0.0001", "1e300", "4294967296", "18446744073709551615",
+        "poison|abort", "",  "=",  ",",  "==", ",,", " ", "\t", "%s",
+        "\xff",
     };
+    const auto addWords = [&atoms](const auto &grammar) {
+        for (const auto &f : grammar.fields) {
+            atoms.push_back(f.key);
+            for (const specparse::Name &n : f.names)
+                atoms.push_back(n.name);
+        }
+    };
+    addWords(FaultSpec::grammar());
+    addWords(QosSpec::grammar());
+    addWords(ChaosSpec::grammar());
+    addWords(PoolSpec::grammar());
     Rng rng(20260808);
-    for (int round = 0; round < 2000; ++round) {
+    for (int round = 0; round < 4000; ++round) {
         std::string input;
         const std::uint64_t pieces = rng.below(8);
         for (std::uint64_t p = 0; p < pieces; ++p) {
@@ -153,21 +190,27 @@ TEST(SpecFuzz, MalformedSpecsNeverCrashAnyParser)
         std::string err;
         const auto fs = FaultSpec::parse(input, err);
         EXPECT_TRUE(fs.has_value() || !err.empty()) << input;
+        if (fs) {
+            EXPECT_NO_THROW(fs->validate()) << input;
+        }
         err.clear();
         const auto qs = QosSpec::parse(input, err);
         EXPECT_TRUE(qs.has_value() || !err.empty()) << input;
+        if (qs) {
+            EXPECT_NO_THROW(qs->validate()) << input;
+        }
         err.clear();
         const auto cs = ChaosSpec::parse(input, err);
         EXPECT_TRUE(cs.has_value() || !err.empty()) << input;
-        // A spec that parses must also validate (parse() enforces
-        // the same ranges validate() checks).
-        if (cs)
+        if (cs) {
             EXPECT_NO_THROW(cs->validate()) << input;
+        }
         err.clear();
         const auto ps = PoolSpec::parse(input, err);
         EXPECT_TRUE(ps.has_value() || !err.empty()) << input;
-        if (ps)
+        if (ps) {
             EXPECT_NO_THROW(ps->validate()) << input;
+        }
     }
 }
 

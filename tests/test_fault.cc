@@ -90,6 +90,33 @@ TEST(FaultSpec, RejectsOutOfRangeValues)
     ASSERT_TRUE(edge.has_value()) << err;
     EXPECT_EQ(edge->degradeBurst, 4294967295u);
     EXPECT_EQ(edge->seed, 18446744073709551615ull);
+    // Times must be finite, fit the clock and, where positive, be at
+    // least one tick.
+    for (const char *text :
+         {"timeout-ns=1e300", "timeout-ns=inf", "backoff-ns=nan",
+          "stall-ns=-1", "timeout-ns=0.0001", "degrade-window-ns=1e-9",
+          "crc=inf", "poison=nan"}) {
+        err.clear();
+        EXPECT_FALSE(FaultSpec::parse(text, err).has_value()) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+    FaultSpec::parse("timeout-ns=1e300", err);
+    EXPECT_EQ(err.find("positive"), std::string::npos) << err;
+}
+
+TEST(FaultSpec, ToStringRoundTrips)
+{
+    // Every key, each off its default, in table order: toString must
+    // print all of them back, digit for digit.
+    const std::string text =
+        "crc=0.0001,poison=0.05,timeout=0.012345678,drain=0.02,"
+        "dram=0.03,stall-ns=100,timeout-ns=500,backoff-ns=50.125,"
+        "retries=4,degrade=10,degrade-window-ns=750,seed=7";
+    std::string err;
+    const auto spec = FaultSpec::parse(text, err);
+    ASSERT_TRUE(spec.has_value()) << err;
+    EXPECT_EQ(spec->toString(), text);
+    EXPECT_EQ(FaultSpec::parse(spec->toString(), err)->toString(), text);
 }
 
 TEST(FaultSpec, ValidateThrowsOnBadRates)
@@ -101,6 +128,9 @@ TEST(FaultSpec, ValidateThrowsOnBadRates)
     s.maxHostRetries = 0;
     EXPECT_THROW(s.validate(), std::invalid_argument);
     EXPECT_THROW(FaultInjector{s}, std::invalid_argument);
+    s = FaultSpec{};
+    s.requestTimeout = maxTick; // beyond any time a spec may hold
+    EXPECT_THROW(s.validate(), std::invalid_argument);
 }
 
 /* ------------------------ FaultInjector -------------------------- */

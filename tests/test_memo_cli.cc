@@ -164,6 +164,27 @@ TEST(MemoCli, RejectsBadInput)
     EXPECT_NE(err.find("unknown argument: --sim-threads"),
               std::string::npos)
         << err;
+
+    // Spec values that do not fit their field (here: non-finite, off
+    // the clock, or a positive time below one tick) fail the same way
+    // instead of hanging or running with undefined values.
+    for (std::pair<const char *, const char *> flagval :
+         {std::pair{"--pool-spec", "hosts=2,ops=2000,fence-check-ns=0.0001"},
+          {"--pool-spec", "fence-check-ns=inf"},
+          {"--pool-spec", "scrub-ns-per-mb=inf"},
+          {"--fault-spec", "timeout-ns=1e300"},
+          {"--chaos-spec", "link-down-at-ns=18446744073709551615"},
+          {"--chaos-spec", "step-up-ns=inf"},
+          {"--qos-spec", "slope=inf"}}) {
+        const bool pool = std::string(flagval.first) == "--pool-spec";
+        const char *spec[] = {"memo", "--mode", pool ? "pool" : "seq",
+                              flagval.first, flagval.second};
+        testing::internal::CaptureStderr();
+        const int code = memoCliMain(5, const_cast<char **>(spec));
+        const std::string msg = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(code, 2) << flagval.second;
+        EXPECT_EQ(std::count(msg.begin(), msg.end(), '\n'), 1) << msg;
+    }
 }
 
 TEST(MemoCli, WatchdogFlagsSetTheInterval)
@@ -312,6 +333,22 @@ TEST(MemoCli, DrillCsvHeaderCarriesLifecycleColumns)
           "aborted_reads", "aborted_writes", "invariant_ok",
           "poison_contained"})
         EXPECT_NE(h.find(col), std::string::npos) << col;
+}
+
+TEST(MemoCli, UsageListsEveryTableKey)
+{
+    const std::string usage = cliUsage();
+    const auto expectKeys = [&usage](const auto &grammar) {
+        for (const auto &f : grammar.fields)
+            EXPECT_NE(usage.find(std::string(f.key) + "="),
+                      std::string::npos)
+                << grammar.name << " " << f.key;
+    };
+    expectKeys(FaultSpec::grammar());
+    expectKeys(QosSpec::grammar());
+    expectKeys(ChaosSpec::grammar());
+    expectKeys(PoolSpec::grammar());
+    EXPECT_NE(usage.find("degrade-window-ns="), std::string::npos);
 }
 
 TEST(MemoCli, HelpShortCircuits)

@@ -85,6 +85,26 @@ TEST(PoolSpec, ToStringRoundTrips)
     const auto again = PoolSpec::parse(sp.toString(), err);
     ASSERT_TRUE(again.has_value()) << err << " <- " << sp.toString();
     EXPECT_EQ(again->toString(), sp.toString());
+
+    // `memo --mode pool` prints this line: its bytes are pinned.
+    EXPECT_EQ(PoolSpec{}.toString(),
+              "hosts=2,devices=1,capacity-mb=64,window-mb=0,credits=0,"
+              "arb=rr,ops=20000,read-frac=0.8,mlp=8,aggressor=-1,"
+              "crash-host=-1,crash-at-ns=0,fence-check-ns=2000,"
+              "miss-threshold=2,scrub-ns-per-mb=200,contain=poison,"
+              "poison-host=-1,poison-every=0,port-down-host=-1,"
+              "port-down-at-ns=0,retrain-ns=2000,seed=42");
+    // Every key off its default prints back exactly.
+    const std::string every =
+        "hosts=4,devices=2,capacity-mb=128,window-mb=32,credits=8,"
+        "arb=fixed,ops=5000,read-frac=0.123456789,mlp=4,aggressor=3,"
+        "crash-host=1,crash-at-ns=10000,fence-check-ns=1000,"
+        "miss-threshold=3,scrub-ns-per-mb=50,contain=abort,"
+        "poison-host=2,poison-every=10,port-down-host=0,"
+        "port-down-at-ns=500,retrain-ns=750,seed=7";
+    const auto full = PoolSpec::parse(every, err);
+    ASSERT_TRUE(full.has_value()) << err;
+    EXPECT_EQ(full->toString(), every);
 }
 
 TEST(PoolSpec, RejectsBadInput)
@@ -119,6 +139,18 @@ TEST(PoolSpec, RejectsBadInput)
         err.clear();
         EXPECT_FALSE(PoolSpec::parse(text, err).has_value()) << text;
         EXPECT_NE(err.find(text), std::string::npos) << err;
+    }
+    // Times must be finite, fit the clock and, where positive, be at
+    // least one tick (fence-check-ns=0.0001 is 0 ticks: a fence check
+    // that reschedules itself at the same tick forever).
+    for (const char *text :
+         {"hosts=2,ops=2000,fence-check-ns=0.0001", "fence-check-ns=inf",
+          "scrub-ns-per-mb=inf", "scrub-ns-per-mb=1e300",
+          "read-frac=nan", "crash-host=1,crash-at-ns=1e300",
+          "retrain-ns=-1", "window-mb=1152921504606846976"}) {
+        err.clear();
+        EXPECT_FALSE(PoolSpec::parse(text, err).has_value()) << text;
+        EXPECT_FALSE(err.empty()) << text;
     }
 }
 

@@ -76,6 +76,28 @@ TEST(QosSpec, ParseRejectsGarbage)
     EXPECT_FALSE(QosSpec::parse("credits=4294967304", err).has_value());
     EXPECT_FALSE(QosSpec::parse("burst=4294967297", err).has_value());
     EXPECT_FALSE(QosSpec::parse("wr-credits=-1", err).has_value());
+    for (const char *text :
+         {"slope=inf", "target=nan", "ai=inf", "ewma-ns=1e300",
+          "line-ns=0.0001", "period-ns=-5", "md=inf"}) {
+        err.clear();
+        EXPECT_FALSE(QosSpec::parse(text, err).has_value()) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+}
+
+TEST(QosSpec, ToStringRoundTrips)
+{
+    // Every printed key off its default, in table order (credits= is
+    // a parse-only alias of rd-credits + wr-credits).
+    const std::string text =
+        "rd-credits=8,wr-credits=40,policy=linear,target=0.6,"
+        "ewma-ns=1500,period-ns=250,ai=0.1,md=0.25,floor=0.125,"
+        "slope=2.123456789,burst=12,line-ns=4.25";
+    std::string err;
+    const auto spec = QosSpec::parse(text, err);
+    ASSERT_TRUE(spec.has_value()) << err;
+    EXPECT_EQ(spec->toString(), text);
+    EXPECT_EQ(QosSpec::parse(spec->toString(), err)->toString(), text);
 }
 
 /* -------------------------- credit pool --------------------------- */
