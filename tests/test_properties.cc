@@ -75,6 +75,9 @@ struct ChannelCase
 {
     std::uint32_t outstanding;
     bool random;
+    // gtest names each case by the bytes of its value; spelling out the
+    // padding keeps those names the same from one build to the next.
+    std::uint8_t pad[3] = {};
 };
 
 class ChannelConservation
