@@ -9,9 +9,12 @@
 #ifndef CXLMEMO_BENCH_BENCH_COMMON_HH
 #define CXLMEMO_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "sim/specparse.hh"
 
 namespace cxlmemo
 {
@@ -33,21 +36,51 @@ note(const char *text)
 }
 
 /**
+ * Value of `--flag N` (or its short @p alias) in argv, an integer in
+ * [@p lo, @p hi]; @p dflt when the flag is absent. A missing value,
+ * garbage, a sign or a value out of range exits 2 with one line.
+ */
+inline unsigned
+countFromArgs(int argc, char **argv, const char *flag, const char *alias,
+              unsigned dflt, unsigned lo, unsigned hi)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], flag) != 0
+            && (alias == nullptr || std::strcmp(argv[i], alias) != 0))
+            continue;
+        std::uint64_t v = 0;
+        if (i + 1 == argc || !specparse::parseU64(argv[i + 1], v)
+            || v < lo || v > hi) {
+            std::fprintf(stderr, "%s: %s needs an integer in [%u, %u], "
+                         "got '%s'\n",
+                         argv[0], flag, lo, hi,
+                         i + 1 < argc ? argv[i + 1] : "");
+            std::exit(2);
+        }
+        return static_cast<unsigned>(v);
+    }
+    return dflt;
+}
+
+/**
  * Parse `--jobs N` / `-j N` from a figure binary's argv (default 1,
- * 0 = one per hardware thread). The sweep output is identical for any
- * value; jobs only changes wall-clock time.
+ * 0 = one per hardware thread, at most 256 as in `memo --jobs`). The
+ * sweep output is identical for any value; jobs only changes
+ * wall-clock time.
  */
 inline unsigned
 jobsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0
-            || std::strcmp(argv[i], "-j") == 0) {
-            return static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        }
-    }
-    return 1;
+    return countFromArgs(argc, argv, "--jobs", "-j", 1, 0, 256);
+}
+
+/** Parse `--reps N` from a guardrail bench's argv (default 3, 1..1000):
+ *  the number of interleaved timing repetitions. */
+inline int
+repsFromArgs(int argc, char **argv)
+{
+    return static_cast<int>(
+        countFromArgs(argc, argv, "--reps", nullptr, 3, 1, 1000));
 }
 
 } // namespace bench

@@ -87,12 +87,10 @@ main(int argc, char **argv)
 {
     using namespace cxlmemo;
 
-    int reps = 3;
+    const int reps = bench::repsFromArgs(argc, argv);
     std::string out = "BENCH_fabric_obs.json";
     for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--reps") == 0)
-            reps = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--out") == 0)
+        if (std::strcmp(argv[i], "--out") == 0)
             out = argv[i + 1];
     }
 

@@ -23,13 +23,15 @@ using namespace cxlmemo;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+
     bench::banner("Fault tail",
                   "CXL loaded-latency tail vs link CRC error rate");
 
     const std::vector<double> rates = {0.0, 1e-5, 1e-4, 1e-3, 5e-3};
     constexpr std::uint32_t threads = 4;
 
-    SweepRunner pool(bench::jobsFromArgs(argc, argv));
+    SweepRunner pool(jobs);
     const auto dists = pool.map(rates.size(), [&](std::size_t i) {
         memo::Options opts;
         opts.faults.crcPerFlit = rates[i];

@@ -16,6 +16,8 @@ using namespace cxlmemo;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+
     bench::banner("Figure 3",
                   "Sequential access bandwidth (GB/s) vs thread count");
 
@@ -48,7 +50,7 @@ main(int argc, char **argv)
     const std::size_t nInstrs = std::size(instrs);
     const std::size_t nPoints =
         std::size(panels) * nInstrs * threads.size();
-    SweepRunner pool(bench::jobsFromArgs(argc, argv));
+    SweepRunner pool(jobs);
     const std::vector<double> grid =
         pool.map(nPoints, [&](std::size_t i) {
             const std::size_t t = i % threads.size();

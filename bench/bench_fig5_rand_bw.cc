@@ -18,6 +18,8 @@ using namespace cxlmemo;
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+
     bench::banner("Figure 5",
                   "Random block access bandwidth (GB/s)");
 
@@ -51,7 +53,7 @@ main(int argc, char **argv)
     const std::size_t nInstrs = std::size(instrs);
     const std::size_t nPoints = std::size(targets) * nInstrs
                                 * blocks.size() * threads.size();
-    SweepRunner pool(bench::jobsFromArgs(argc, argv));
+    SweepRunner pool(jobs);
     const std::vector<double> grid =
         pool.map(nPoints, [&](std::size_t i) {
             const std::size_t t = i % threads.size();

@@ -57,6 +57,8 @@ hasFlag(int argc, char **argv, const char *flag)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+
     bench::banner("Overload survival",
                   "offered nt-store load vs achieved CXL bandwidth "
                   "and probe p99, with and without QoS");
@@ -72,7 +74,7 @@ main(int argc, char **argv)
               : std::vector<std::uint32_t>{1, 2, 4, 8, 16, 24, 32};
 
     const std::size_t points = configs.size() * threads.size();
-    SweepRunner pool(bench::jobsFromArgs(argc, argv));
+    SweepRunner pool(jobs);
     const auto results = pool.map(points, [&](std::size_t i) {
         const Config &cfg = configs[i / threads.size()];
         memo::Options opts;

@@ -7,8 +7,7 @@
 #include <sstream>
 
 #include "memo/diff.hh"
-#include "sim/attribution.hh"
-#include "sim/fabric_attrib.hh"
+#include "memo/stationtier.hh"
 #include "sim/histogram.hh"
 #include "sim/sweep.hh"
 #include "sim/tailcap.hh"
@@ -759,55 +758,6 @@ tailCsvColumns()
            "tail_regime,tail_stage,tail_stage_ns,tail_stack_exact";
 }
 
-/** Per-station queue/service/utilization triplets plus the
- *  stack summary -- one fragment per StationId, in enum order. */
-std::string
-attribCsvColumns()
-{
-    std::string cols;
-    for (std::size_t i = 0; i < numStations; ++i) {
-        const std::string c = stationColumn(static_cast<StationId>(i));
-        cols += ",attrib_" + c + "_q_ns,attrib_" + c + "_s_ns,attrib_"
-                + c + "_util";
-    }
-    cols += ",attrib_reqs,attrib_total_ns,attrib_other_ns,"
-            "attrib_little_ok,attrib_bottleneck";
-    return cols;
-}
-
-/** Fabric-attribution tier of the pool CSV: per-port (== per-row)
- *  switch-station triplets plus the cross-fabric stack summary, one
- *  fragment per FabricStation in enum order. */
-std::string
-fabricCsvColumns()
-{
-    std::string cols;
-    for (std::size_t i = 0; i < numFabricStations; ++i) {
-        const std::string c =
-            fabricStationColumn(static_cast<FabricStation>(i));
-        cols += "," + c + "_q_ns," + c + "_s_ns," + c + "_util";
-    }
-    cols += ",fabric_reqs,fabric_total_ns,fabric_other_ns,"
-            "fabric_little_ok,fabric_decomp_exact";
-    return cols;
-}
-
-void
-printFabricCsvCells(const FabricSnapshot &snap, std::uint32_t port)
-{
-    const FabricPortSnap &fp = snap.ports[port];
-    for (std::size_t i = 0; i < numFabricStations; ++i) {
-        const auto id = static_cast<FabricStation>(i);
-        std::printf(",%.2f,%.2f,%.4f", fp.componentQueueNs(id),
-                    fp.componentServiceNs(id),
-                    fp.util(id, snap.elapsed));
-    }
-    std::printf(",%llu,%.2f,%.2f,%d,%d",
-                (unsigned long long)fp.reqCount, fp.avgTotalNs(),
-                fp.otherNs(), fp.littleOk(snap.elapsed) ? 1 : 0,
-                fp.decompositionExact() ? 1 : 0);
-}
-
 /** The device hosting @p target on @p m (nullopt target: merge every
  *  device the machine has -- the copy mode touches several). */
 void
@@ -974,20 +924,6 @@ printTailLine(const TailSummary &t)
 }
 
 void
-printAttribCsvCells(const AttribSnapshot &a)
-{
-    for (std::size_t i = 0; i < numStations; ++i) {
-        const auto id = static_cast<StationId>(i);
-        std::printf(",%.2f,%.2f,%.4f", a.componentQueueNs(id),
-                    a.componentServiceNs(id), a.util(id));
-    }
-    std::printf(",%llu,%.2f,%.2f,%d,%s",
-                (unsigned long long)a.reqCount, a.avgTotalNs(),
-                a.otherNs(), a.littleOk() ? 1 : 0,
-                stationName(a.bottleneck()));
-}
-
-void
 printAttribLine(const AttribSnapshot &a)
 {
     std::printf("  attrib: %s\n", a.verdict().c_str());
@@ -1004,7 +940,9 @@ printExtraCsvCells(const PointResult &p, bool attrib, bool tail)
     printQosCsvCells(p.qos);
     printHistCsvCells(p.hist, 1.0 / tickPerNs);
     if (attrib)
-        printAttribCsvCells(p.attrib);
+        attribTier.printCells(p.attrib, p.attrib.elapsed,
+                              p.attrib.littleOk(),
+                              stationName(p.attrib.bottleneck()));
     if (tail)
         printTailCsvCells(p.tailcap.summary());
 }
@@ -1149,7 +1087,7 @@ csvHeader(CliMode mode, bool ras, bool qos, bool hist, bool attrib,
         if (tail)
             pool += tailCsvColumns();
         if (attrib)
-            pool += fabricCsvColumns();
+            pool += fabricTier.columns();
         return pool;
       }
       case CliMode::Diff:
@@ -1160,7 +1098,7 @@ csvHeader(CliMode mode, bool ras, bool qos, bool hist, bool attrib,
         base += std::string(rasCsvColumns()) + qosCsvColumns()
                 + histCsvColumns();
     if (attrib || mode == CliMode::Report)
-        base += attribCsvColumns();
+        base += attribTier.columns();
     if (tail)
         base += tailCsvColumns();
     return base;
@@ -1596,8 +1534,12 @@ runCli(const CliConfig &cfg)
                     printHistCsvCells(h.readHist, 1.0);
                 if (tail)
                     printTailCsvCells(h.tail);
-                if (fabric)
-                    printFabricCsvCells(c.fabric, h.host);
+                if (fabric) {
+                    const FabricPortSnap &fp = c.fabric.ports[h.host];
+                    fabricTier.printCells(
+                        fp, c.fabric.elapsed, fp.littleOk(c.fabric.elapsed),
+                        fp.decompositionExact() ? "1" : "0");
+                }
                 std::printf("\n");
             }
         } else {

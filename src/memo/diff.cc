@@ -15,8 +15,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "sim/attribution.hh"
-#include "sim/fabric_attrib.hh"
+#include "memo/stationtier.hh"
 
 namespace cxlmemo
 {
@@ -205,22 +204,16 @@ diffRuns(const std::string &csvA, const std::string &csvB,
     };
     std::vector<StackCol> stack;
     std::string totalCol;
-    if (A.has("attrib_total_ns")) {
-        totalCol = "attrib_total_ns";
-        for (std::size_t i = 0; i < numStations; ++i) {
-            const auto id = static_cast<StationId>(i);
-            const std::string c = stationColumn(id);
-            stack.push_back({stationName(id), "attrib_" + c + "_q_ns",
-                             "attrib_" + c + "_s_ns"});
-        }
-    } else if (A.has("fabric_total_ns")) {
-        totalCol = "fabric_total_ns";
-        for (std::size_t i = 0; i < numFabricStations; ++i) {
-            const auto id = static_cast<FabricStation>(i);
-            const std::string c = fabricStationColumn(id);
-            stack.push_back(
-                {fabricStationName(id), c + "_q_ns", c + "_s_ns"});
-        }
+    auto useTier = [&](const auto &tier) {
+        totalCol = tier.totalColumn();
+        tier.forEachStation([&](auto id, const std::string &c) {
+            stack.push_back({stationName(id), c + "_q_ns", c + "_s_ns"});
+        });
+    };
+    if (A.has(attribTier.totalColumn())) {
+        useTier(attribTier);
+    } else if (A.has(fabricTier.totalColumn())) {
+        useTier(fabricTier);
     } else {
         r.error = "no attribution tier in the CSVs (produce them with "
                   "--attrib or --mode report and --csv)";

@@ -1,11 +1,6 @@
 #include "sim/attribution.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
-
-#include "sim/statmerge.hh"
+#include "sim/logging.hh"
 
 namespace cxlmemo
 {
@@ -13,28 +8,13 @@ namespace cxlmemo
 namespace
 {
 
+using logging_detail::format;
+
 const char *const stationNames[numStations] = {
     "core.lfb",    "cache",       "dram",       "upi",
     "cxl.m2s",     "cxl.credit",  "cxl.ingress", "cxl.backend",
     "cxl.egress",  "cxl.s2m",     "dsa",
 };
-
-std::string
-fmt(const char *format, ...)
-{
-    char buf[256];
-    va_list args;
-    va_start(args, format);
-    std::vsnprintf(buf, sizeof(buf), format, args);
-    va_end(args);
-    return buf;
-}
-
-StationId
-idAt(std::size_t i)
-{
-    return static_cast<StationId>(i);
-}
 
 } // namespace
 
@@ -42,14 +22,6 @@ const char *
 stationName(StationId id)
 {
     return stationNames[static_cast<std::size_t>(id)];
-}
-
-std::string
-stationColumn(StationId id)
-{
-    std::string s = stationName(id);
-    std::replace(s.begin(), s.end(), '.', '_');
-    return s;
 }
 
 void
@@ -67,6 +39,25 @@ AccountedStation::reset(Tick now)
     intervalEnd = now;
 }
 
+StationSnap
+AccountedStation::snap(Tick now) const
+{
+    StationSnap o;
+    o.servers = servers;
+    o.buffer = buffer;
+    o.enters = enters;
+    o.exits = exits;
+    o.queueTicks = queueTicks;
+    o.serviceTicks = serviceTicks;
+    o.busyTicks = busyTicks;
+    o.occIntegral = occIntegral;
+    if (now > lastOcc)
+        o.occIntegral += std::uint64_t(occupancy) * (now - lastOcc);
+    o.stackQueueTicks = stackQueueTicks;
+    o.stackServiceTicks = stackServiceTicks;
+    return o;
+}
+
 void
 StationSnap::merge(const StationSnap &o)
 {
@@ -82,140 +73,15 @@ StationSnap::merge(const StationSnap &o)
 void
 AttribSnapshot::merge(const AttribSnapshot &o)
 {
-    elapsed += o.elapsed;
-    reqCount += o.reqCount;
-    totalTicks += o.totalTicks;
-    devReads += o.devReads;
-    devWrites += o.devWrites;
-    for (std::size_t i = 0; i < numStations; ++i)
-        st[i].merge(o.st[i]);
-}
-
-std::uint64_t
-AttribSnapshot::stackTicks() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &s : st)
-        sum += s.stackQueueTicks + s.stackServiceTicks;
-    return sum;
-}
-
-std::uint64_t
-AttribSnapshot::otherTicks() const
-{
-    const std::uint64_t stack = stackTicks();
-    return totalTicks >= stack ? totalTicks - stack : 0;
-}
-
-bool
-AttribSnapshot::decompositionExact() const
-{
-    return stackTicks() <= totalTicks;
-}
-
-double
-AttribSnapshot::avgTotalNs() const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(totalTicks) / static_cast<double>(reqCount);
-}
-
-double
-AttribSnapshot::componentQueueNs(StationId id) const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(at(id).stackQueueTicks)
-           / static_cast<double>(reqCount);
-}
-
-double
-AttribSnapshot::componentServiceNs(StationId id) const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(at(id).stackServiceTicks)
-           / static_cast<double>(reqCount);
-}
-
-double
-AttribSnapshot::otherNs() const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(otherTicks()) / static_cast<double>(reqCount);
-}
-
-double
-AttribSnapshot::util(StationId id) const
-{
-    const StationSnap &s = at(id);
-    if (elapsed == 0 || s.servers == 0)
-        return 0.0;
-    const std::uint64_t numer = s.buffer ? s.occIntegral : s.busyTicks;
-    const double u = static_cast<double>(numer)
-                     / (static_cast<double>(elapsed)
-                        * static_cast<double>(s.servers));
-    return std::min(u, 1.0);
-}
-
-double
-AttribSnapshot::avgOccupancy(StationId id) const
-{
-    if (elapsed == 0)
-        return 0.0;
-    return static_cast<double>(at(id).occIntegral)
-           / static_cast<double>(elapsed);
-}
-
-double
-AttribSnapshot::throughputPerNs(StationId id) const
-{
-    if (elapsed == 0)
-        return 0.0;
-    return static_cast<double>(at(id).exits) / nsFromTicks(elapsed);
-}
-
-double
-AttribSnapshot::avgResidencyNs(StationId id) const
-{
-    const StationSnap &s = at(id);
-    if (s.exits == 0)
-        return 0.0;
-    return nsFromTicks(s.queueTicks + s.serviceTicks)
-           / static_cast<double>(s.exits);
-}
-
-double
-AttribSnapshot::littleDeviation(StationId id) const
-{
-    const StationSnap &s = at(id);
-    if (s.exits == 0 || elapsed == 0)
-        return 0.0;
-    const double l = avgOccupancy(id);
-    const double lw = throughputPerNs(id) * avgResidencyNs(id);
-    const double ref = std::max(l, lw);
-    if (ref <= 0.0)
-        return 0.0;
-    return std::abs(l - lw) / ref;
+    StationRollup::merge(o);
+    mergeCounters(*this, o, &AttribSnapshot::elapsed,
+                  &AttribSnapshot::devReads, &AttribSnapshot::devWrites);
 }
 
 bool
 AttribSnapshot::littleOk(double tol) const
 {
-    for (std::size_t i = 0; i < numStations; ++i) {
-        // core.lfb occupancy transitions are stamped with per-thread
-        // local clocks, which are not mutually monotonic, so its
-        // occupancy integral (and hence L = lambda*W) is only
-        // approximate there. Its deviation is still reported in the
-        // table, just not enforced.
-        if (idAt(i) == StationId::CoreLfb)
-            continue;
-        if (littleDeviation(idAt(i)) > tol)
-            return false;
-    }
-    return true;
+    return StationRollup::littleOk(elapsed, tol, StationId::CoreLfb);
 }
 
 double
@@ -249,7 +115,7 @@ AttribSnapshot::bottleneck() const
             const StationId id = idAt(i);
             if (!active(id) || !keep(id))
                 continue;
-            const double u = util(id);
+            const double u = util(id, elapsed);
             if (u >= bestUtil - 0.02) {
                 best = id;
                 bestUtil = std::max(bestUtil, u);
@@ -270,7 +136,7 @@ AttribSnapshot::bottleneck() const
     // buffer fills *because* the server behind it is slow).
     const StationId server =
         argmaxUtil([this](StationId id) { return !at(id).buffer; });
-    if (util(server) >= 0.5)
+    if (util(server, elapsed) >= 0.5)
         return server;
 
     // Nothing saturated: latency-bound. Name the largest stack
@@ -296,33 +162,34 @@ std::string
 AttribSnapshot::verdict() const
 {
     const StationId b = bottleneck();
-    return fmt("bottleneck=%s util=%.2f queue_share=%.2f",
-               stationName(b), util(b), queueShare(b));
+    return format("bottleneck=%s util=%.2f queue_share=%.2f",
+                  stationName(b), util(b, elapsed), queueShare(b));
 }
 
 std::string
 AttribSnapshot::statLines() const
 {
     std::string out;
-    out += fmt("attrib: window %.1f us, %llu demand reads, "
-               "avg total %.1f ns (stack %s, little %s)\n",
-               usFromTicks(elapsed),
-               static_cast<unsigned long long>(reqCount), avgTotalNs(),
-               decompositionExact() ? "exact" : "VIOLATED",
-               littleOk() ? "ok" : "VIOLATED");
+    out += format("attrib: window %.1f us, %llu demand reads, "
+                  "avg total %.1f ns (stack %s, little %s)\n",
+                  usFromTicks(elapsed),
+                  static_cast<unsigned long long>(reqCount), avgTotalNs(),
+                  decompositionExact() ? "exact" : "VIOLATED",
+                  littleOk() ? "ok" : "VIOLATED");
     for (std::size_t i = 0; i < numStations; ++i) {
         const StationId id = idAt(i);
         const StationSnap &s = at(id);
         if (s.enters == 0 && s.exits == 0)
             continue;
-        out += fmt("attrib: %-11s util %.3f  occ %8.2f  "
-                   "q %8.1f ns  s %8.1f ns  n %llu\n",
-                   stationName(id), util(id), avgOccupancy(id),
-                   componentQueueNs(id), componentServiceNs(id),
-                   static_cast<unsigned long long>(s.exits));
+        out += format("attrib: %-11s util %.3f  occ %8.2f  "
+                      "q %8.1f ns  s %8.1f ns  n %llu\n",
+                      stationName(id), util(id, elapsed),
+                      avgOccupancy(id, elapsed), componentQueueNs(id),
+                      componentServiceNs(id),
+                      static_cast<unsigned long long>(s.exits));
     }
-    out += fmt("attrib: %-11s q %8.1f ns (residual)\n", "other",
-               otherNs());
+    out += format("attrib: %-11s q %8.1f ns (residual)\n", "other",
+                  otherNs());
     out += "attrib: " + verdict() + "\n";
     return out;
 }
@@ -331,9 +198,9 @@ std::string
 AttribSnapshot::table() const
 {
     std::string out;
-    out += fmt("  %-12s %6s %9s %10s %10s %7s %10s\n", "station",
-               "util", "avg_occ", "queue_ns", "svc_ns", "share",
-               "little_dev");
+    out += format("  %-12s %6s %9s %10s %10s %7s %10s\n", "station",
+                  "util", "avg_occ", "queue_ns", "svc_ns", "share",
+                  "little_dev");
     const double total = avgTotalNs();
     for (std::size_t i = 0; i < numStations; ++i) {
         const StationId id = idAt(i);
@@ -343,19 +210,20 @@ AttribSnapshot::table() const
         const double q = componentQueueNs(id);
         const double sv = componentServiceNs(id);
         const double share = total > 0.0 ? (q + sv) / total : 0.0;
-        out += fmt("  %-12s %6.3f %9.2f %10.1f %10.1f %6.1f%% %10.4f\n",
-                   stationName(id), util(id), avgOccupancy(id), q, sv,
-                   share * 100.0, littleDeviation(id));
+        out += format("  %-12s %6.3f %9.2f %10.1f %10.1f %6.1f%% %10.4f\n",
+                      stationName(id), util(id, elapsed),
+                      avgOccupancy(id, elapsed), q, sv, share * 100.0,
+                      littleDeviation(id, elapsed));
     }
     const double oshare = total > 0.0 ? otherNs() / total : 0.0;
-    out += fmt("  %-12s %6s %9s %10s %10.1f %6.1f%%\n", "other", "-",
-               "-", "-", otherNs(), oshare * 100.0);
-    out += fmt("  %-12s avg %.1f ns over %llu reads  (stack %s, "
-               "little's law %s)\n",
-               "total", total,
-               static_cast<unsigned long long>(reqCount),
-               decompositionExact() ? "exact" : "VIOLATED",
-               littleOk() ? "ok" : "VIOLATED");
+    out += format("  %-12s %6s %9s %10s %10.1f %6.1f%%\n", "other", "-",
+                  "-", "-", otherNs(), oshare * 100.0);
+    out += format("  %-12s avg %.1f ns over %llu reads  (stack %s, "
+                  "little's law %s)\n",
+                  "total", total,
+                  static_cast<unsigned long long>(reqCount),
+                  decompositionExact() ? "exact" : "VIOLATED",
+                  littleOk() ? "ok" : "VIOLATED");
     out += "  " + verdict() + "\n";
     return out;
 }
@@ -369,21 +237,16 @@ AttribSnapshot::postMortem() const
         const StationSnap &s = at(id);
         if (s.enters == 0 && s.exits == 0)
             continue;
-        out += fmt("  %-11s util %.3f  occ %.2f  in-station %lld  "
-                   "q %.1f ns\n",
-                   stationName(id), util(id), avgOccupancy(id),
-                   static_cast<long long>(s.enters)
-                       - static_cast<long long>(s.exits),
-                   avgResidencyNs(id) * queueShare(id));
+        out += format("  %-11s util %.3f  occ %.2f  in-station %lld  "
+                      "q %.1f ns\n",
+                      stationName(id), util(id, elapsed),
+                      avgOccupancy(id, elapsed),
+                      static_cast<long long>(s.enters)
+                          - static_cast<long long>(s.exits),
+                      avgResidencyNs(id) * queueShare(id));
     }
     out += "  " + verdict() + "\n";
     return out;
-}
-
-AttributionBoard::AttributionBoard(Tick now) : windowStart_(now)
-{
-    for (auto &s : st_)
-        s.lastOcc = now;
 }
 
 void
@@ -399,56 +262,17 @@ void
 AttributionBoard::beginWindow(Tick now)
 {
     windowStart_ = now;
-    reqCount_ = 0;
-    totalTicks_ = 0;
     devReads_ = 0;
     devWrites_ = 0;
-    // liveCount_/liveStartSum_ deliberately survive: brackets opened
-    // before the window retire with their true start, so their stack
-    // contributions inside the window stay covered by their totals.
-    for (auto &s : st_)
-        s.reset(now);
+    StationBoard::beginWindow(now);
 }
 
 AttribSnapshot
 AttributionBoard::snapshot(Tick now) const
 {
-    AttribSnapshot snap;
-    snap.elapsed = now >= windowStart_ ? now - windowStart_ : 0;
-    snap.reqCount = reqCount_;
-    snap.totalTicks = totalTicks_;
-    snap.devReads = devReads_;
-    snap.devWrites = devWrites_;
-    if (liveCount_ > 0) {
-        // Charge in-flight brackets up to the accounting horizon: the
-        // latest end of any accounted interval (which can lie past
-        // @p now -- scheduled dispatches, core-local clocks running
-        // ahead). Every live bracket's accounted intervals fit inside
-        // [its start, horizon], so stack <= total holds mid-flight.
-        Tick horizon = now;
-        for (const auto &s : st_)
-            horizon = std::max(horizon, s.intervalEnd);
-        snap.reqCount += liveCount_;
-        snap.totalTicks += liveCount_ * horizon - liveStartSum_;
-    }
-    for (std::size_t i = 0; i < numStations; ++i) {
-        const AccountedStation &s = st_[i];
-        StationSnap &o = snap.st[i];
-        o.servers = s.servers;
-        o.buffer = s.buffer;
-        o.enters = s.enters;
-        o.exits = s.exits;
-        o.queueTicks = s.queueTicks;
-        o.serviceTicks = s.serviceTicks;
-        o.busyTicks = s.busyTicks;
-        o.occIntegral = s.occIntegral;
-        if (now > s.lastOcc)
-            o.occIntegral +=
-                std::uint64_t(s.occupancy) * (now - s.lastOcc);
-        o.stackQueueTicks = s.stackQueueTicks;
-        o.stackServiceTicks = s.stackServiceTicks;
-    }
-    return snap;
+    return {StationBoard::snapshot(now),
+            now >= windowStart_ ? now - windowStart_ : 0, devReads_,
+            devWrites_};
 }
 
 } // namespace cxlmemo

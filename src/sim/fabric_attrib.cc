@@ -1,11 +1,8 @@
 #include "sim/fabric_attrib.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
-#include "sim/statmerge.hh"
+#include "sim/logging.hh"
 
 namespace cxlmemo
 {
@@ -13,171 +10,19 @@ namespace cxlmemo
 namespace
 {
 
+using logging_detail::format;
+
 const char *const fabricNames[numFabricStations] = {
     "sw.credit_wait", "sw.voq_wait", "sw.arb", "sw.wire",
     "sw.dev_service",
 };
 
-std::string
-fmt(const char *format, ...)
-{
-    char buf[256];
-    va_list args;
-    va_start(args, format);
-    std::vsnprintf(buf, sizeof(buf), format, args);
-    va_end(args);
-    return buf;
-}
-
-FabricStation
-idAt(std::size_t i)
-{
-    return static_cast<FabricStation>(i);
-}
-
 } // namespace
 
 const char *
-fabricStationName(FabricStation id)
+stationName(FabricStation id)
 {
     return fabricNames[static_cast<std::size_t>(id)];
-}
-
-std::string
-fabricStationColumn(FabricStation id)
-{
-    std::string s = fabricStationName(id);
-    std::replace(s.begin(), s.end(), '.', '_');
-    return s;
-}
-
-void
-FabricPortSnap::merge(const FabricPortSnap &o)
-{
-    mergeCounters(*this, o, &FabricPortSnap::reqCount,
-                  &FabricPortSnap::totalTicks);
-    for (std::size_t i = 0; i < numFabricStations; ++i)
-        st[i].merge(o.st[i]);
-}
-
-std::uint64_t
-FabricPortSnap::stackTicks() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &s : st)
-        sum += s.stackQueueTicks + s.stackServiceTicks;
-    return sum;
-}
-
-std::uint64_t
-FabricPortSnap::otherTicks() const
-{
-    const std::uint64_t stack = stackTicks();
-    return totalTicks >= stack ? totalTicks - stack : 0;
-}
-
-bool
-FabricPortSnap::decompositionExact() const
-{
-    return stackTicks() <= totalTicks;
-}
-
-double
-FabricPortSnap::avgTotalNs() const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(totalTicks) / static_cast<double>(reqCount);
-}
-
-double
-FabricPortSnap::componentQueueNs(FabricStation id) const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(at(id).stackQueueTicks)
-           / static_cast<double>(reqCount);
-}
-
-double
-FabricPortSnap::componentServiceNs(FabricStation id) const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(at(id).stackServiceTicks)
-           / static_cast<double>(reqCount);
-}
-
-double
-FabricPortSnap::otherNs() const
-{
-    if (reqCount == 0)
-        return 0.0;
-    return nsFromTicks(otherTicks()) / static_cast<double>(reqCount);
-}
-
-double
-FabricPortSnap::util(FabricStation id, Tick elapsed) const
-{
-    const StationSnap &s = at(id);
-    if (elapsed == 0 || s.servers == 0)
-        return 0.0;
-    const std::uint64_t numer = s.buffer ? s.occIntegral : s.busyTicks;
-    const double u = static_cast<double>(numer)
-                     / (static_cast<double>(elapsed)
-                        * static_cast<double>(s.servers));
-    return std::min(u, 1.0);
-}
-
-double
-FabricPortSnap::avgOccupancy(FabricStation id, Tick elapsed) const
-{
-    if (elapsed == 0)
-        return 0.0;
-    return static_cast<double>(at(id).occIntegral)
-           / static_cast<double>(elapsed);
-}
-
-double
-FabricPortSnap::throughputPerNs(FabricStation id, Tick elapsed) const
-{
-    if (elapsed == 0)
-        return 0.0;
-    return static_cast<double>(at(id).exits) / nsFromTicks(elapsed);
-}
-
-double
-FabricPortSnap::avgResidencyNs(FabricStation id) const
-{
-    const StationSnap &s = at(id);
-    if (s.exits == 0)
-        return 0.0;
-    return nsFromTicks(s.queueTicks + s.serviceTicks)
-           / static_cast<double>(s.exits);
-}
-
-double
-FabricPortSnap::littleDeviation(FabricStation id, Tick elapsed) const
-{
-    const StationSnap &s = at(id);
-    if (s.exits == 0 || elapsed == 0)
-        return 0.0;
-    const double l = avgOccupancy(id, elapsed);
-    const double lw =
-        throughputPerNs(id, elapsed) * avgResidencyNs(id);
-    const double ref = std::max(l, lw);
-    if (ref <= 0.0)
-        return 0.0;
-    return std::abs(l - lw) / ref;
-}
-
-bool
-FabricPortSnap::littleOk(Tick elapsed, double tol) const
-{
-    for (std::size_t i = 0; i < numFabricStations; ++i)
-        if (littleDeviation(idAt(i), elapsed) > tol)
-            return false;
-    return true;
 }
 
 void
@@ -261,37 +106,37 @@ FabricSnapshot::verdict() const
         regime = "pooled-device-backend";
         u = devUtil;
     }
-    return fmt("fabric=%s hot=port%u fabric_util=%.2f", regime, hot, u);
+    return format("fabric=%s hot=port%u fabric_util=%.2f", regime, hot, u);
 }
 
 std::string
 FabricSnapshot::table() const
 {
     std::string out;
-    out += fmt("  %-5s %-15s %6s %9s %10s %10s %10s\n", "port",
-               "station", "util", "avg_occ", "queue_ns", "svc_ns",
-               "little_dev");
+    out += format("  %-5s %-15s %6s %9s %10s %10s %10s\n", "port",
+                  "station", "util", "avg_occ", "queue_ns", "svc_ns",
+                  "little_dev");
     for (std::size_t p = 0; p < ports.size(); ++p) {
         const FabricPortSnap &ps = ports[p];
         if (ps.reqCount == 0)
             continue;
         for (std::size_t i = 0; i < numFabricStations; ++i) {
-            const FabricStation id = idAt(i);
-            out += fmt("  %-5zu %-15s %6.3f %9.2f %10.1f %10.1f %10.4f\n",
-                       p, fabricStationName(id), ps.util(id, elapsed),
-                       ps.avgOccupancy(id, elapsed),
-                       ps.componentQueueNs(id), ps.componentServiceNs(id),
-                       ps.littleDeviation(id, elapsed));
+            const FabricStation id = FabricPortSnap::idAt(i);
+            out += format("  %-5zu %-15s %6.3f %9.2f %10.1f %10.1f %10.4f\n",
+                          p, stationName(id), ps.util(id, elapsed),
+                          ps.avgOccupancy(id, elapsed),
+                          ps.componentQueueNs(id), ps.componentServiceNs(id),
+                          ps.littleDeviation(id, elapsed));
         }
-        out += fmt("  %-5zu %-15s avg %.1f ns over %llu reqs  "
-                   "other %.1f ns  (stack %s)\n",
-                   p, "total", ps.avgTotalNs(),
-                   static_cast<unsigned long long>(ps.reqCount),
-                   ps.otherNs(),
-                   ps.decompositionExact() ? "exact" : "VIOLATED");
+        out += format("  %-5zu %-15s avg %.1f ns over %llu reqs  "
+                      "other %.1f ns  (stack %s)\n",
+                      p, "total", ps.avgTotalNs(),
+                      static_cast<unsigned long long>(ps.reqCount),
+                      ps.otherNs(),
+                      ps.decompositionExact() ? "exact" : "VIOLATED");
     }
     out += "  " + verdict()
-           + fmt("  (little's law %s)\n", littleOk() ? "ok" : "VIOLATED");
+           + format("  (little's law %s)\n", littleOk() ? "ok" : "VIOLATED");
     return out;
 }
 
@@ -309,14 +154,15 @@ FabricSnapshot::postMortem() const
             const long long in = static_cast<long long>(s.enters)
                                  - static_cast<long long>(s.exits);
             if (in > 0)
-                stuck += fmt(" %s=%lld", fabricStationName(idAt(i)), in);
+                stuck += format(" %s=%lld",
+                                stationName(FabricPortSnap::idAt(i)), in);
         }
-        out += fmt("  port%zu: %llu reqs  wire_util %.3f  "
-                   "dev_util %.3f  in-station:%s\n",
-                   p, static_cast<unsigned long long>(ps.reqCount),
-                   ps.util(FabricStation::Wire, elapsed),
-                   ps.util(FabricStation::DevService, elapsed),
-                   stuck.empty() ? " none" : stuck.c_str());
+        out += format("  port%zu: %llu reqs  wire_util %.3f  "
+                      "dev_util %.3f  in-station:%s\n",
+                      p, static_cast<unsigned long long>(ps.reqCount),
+                      ps.util(FabricStation::Wire, elapsed),
+                      ps.util(FabricStation::DevService, elapsed),
+                      stuck.empty() ? " none" : stuck.c_str());
     }
     out += "  " + verdict() + "\n";
     return out;
@@ -324,24 +170,25 @@ FabricSnapshot::postMortem() const
 
 FabricBoard::FabricBoard(std::uint32_t ports, std::uint32_t devices,
                          Tick now)
-    : ports_(ports), windowStart_(now)
+    : ports_(ports, StationBoard<FabricStation>(now)), windowStart_(now)
 {
     for (auto &p : ports_) {
-        for (auto &s : p.st)
-            s.lastOcc = now;
-        auto &credit =
-            p.st[static_cast<std::size_t>(FabricStation::CreditWait)];
-        credit.buffer = true;
-        auto &voq =
-            p.st[static_cast<std::size_t>(FabricStation::VoqWait)];
-        voq.buffer = true;
+        p.station(FabricStation::CreditWait).buffer = true;
+        p.station(FabricStation::VoqWait).buffer = true;
         // The device pool is shared: its utilization denominator is
         // the device count, so the cluster roll-up reads as pool
         // occupancy rather than per-port line rate.
-        auto &dev =
-            p.st[static_cast<std::size_t>(FabricStation::DevService)];
-        dev.servers = std::max<std::uint32_t>(devices, 1);
+        p.station(FabricStation::DevService).servers =
+            std::max<std::uint32_t>(devices, 1);
     }
+}
+
+void
+FabricBoard::beginWindow(Tick now)
+{
+    windowStart_ = now;
+    for (auto &p : ports_)
+        p.beginWindow(now);
 }
 
 FabricSnapshot
@@ -349,40 +196,9 @@ FabricBoard::snapshot(Tick now) const
 {
     FabricSnapshot snap;
     snap.elapsed = now >= windowStart_ ? now - windowStart_ : 0;
-    snap.ports.resize(ports_.size());
-    for (std::size_t p = 0; p < ports_.size(); ++p) {
-        const PortBoard &b = ports_[p];
-        FabricPortSnap &o = snap.ports[p];
-        o.reqCount = b.reqCount;
-        o.totalTicks = b.totalTicks;
-        if (b.liveCount > 0) {
-            // Same horizon rule as AttributionBoard::snapshot():
-            // in-flight brackets are charged up to the latest end of
-            // any accounted interval, so stack <= total mid-flight.
-            Tick horizon = now;
-            for (const auto &s : b.st)
-                horizon = std::max(horizon, s.intervalEnd);
-            o.reqCount += b.liveCount;
-            o.totalTicks += b.liveCount * horizon - b.liveStartSum;
-        }
-        for (std::size_t i = 0; i < numFabricStations; ++i) {
-            const AccountedStation &s = b.st[i];
-            StationSnap &t = o.st[i];
-            t.servers = s.servers;
-            t.buffer = s.buffer;
-            t.enters = s.enters;
-            t.exits = s.exits;
-            t.queueTicks = s.queueTicks;
-            t.serviceTicks = s.serviceTicks;
-            t.busyTicks = s.busyTicks;
-            t.occIntegral = s.occIntegral;
-            if (now > s.lastOcc)
-                t.occIntegral +=
-                    std::uint64_t(s.occupancy) * (now - s.lastOcc);
-            t.stackQueueTicks = s.stackQueueTicks;
-            t.stackServiceTicks = s.stackServiceTicks;
-        }
-    }
+    snap.ports.reserve(ports_.size());
+    for (const auto &p : ports_)
+        snap.ports.push_back(p.snapshot(now));
     return snap;
 }
 

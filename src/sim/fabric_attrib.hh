@@ -23,6 +23,12 @@
  * VOQ stations bracket residency with enter()/exitNow(), making their
  * occupancy integrals independent measurements.
  *
+ * Each port is a slice of the host board's stack core (attribution.hh):
+ * one StationBoard over FabricStation, rolled up into a
+ * StationRollup. The bracket, the horizon rule, the merge and every
+ * derived figure are that core's; only the cluster verdict and the
+ * renderers here are fabric-specific.
+ *
  * Contract (identical to the host-side board): constructed only when
  * `obs.attribution` is set, every instrumentation site is a null
  * pointer test otherwise; enabling it never schedules events, so
@@ -34,7 +40,6 @@
 #ifndef CXLMEMO_SIM_FABRIC_ATTRIB_HH
 #define CXLMEMO_SIM_FABRIC_ATTRIB_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -61,53 +66,13 @@ constexpr std::size_t numFabricStations =
     static_cast<std::size_t>(FabricStation::NumStations);
 
 /** Dotted station name used in reports ("sw.voq_wait"). */
-const char *fabricStationName(FabricStation id);
+const char *stationName(FabricStation id);
 
-/** Same name with dots as underscores (CSV column fragments). */
-std::string fabricStationColumn(FabricStation id);
-
-/**
- * One port's attribution roll-up: the five station snapshots plus the
- * end-to-end bracket over every request the port carried. Merging is
- * exact and associative; derived figures that need the window length
- * take it as a parameter (the owning FabricSnapshot holds it, so a
- * cross-port roll-up shares one elapsed).
- */
-struct FabricPortSnap
-{
-    std::uint64_t reqCount = 0;   //!< bracketed requests (incl. live)
-    std::uint64_t totalTicks = 0; //!< summed end-to-end latency
-    std::array<StationSnap, numFabricStations> st{};
-
-    const StationSnap &
-    at(FabricStation id) const
-    {
-        return st[static_cast<std::size_t>(id)];
-    }
-
-    /** Exact, associative merge (integer sums only). */
-    void merge(const FabricPortSnap &o);
-
-    /* ---- latency stack ---- */
-
-    std::uint64_t stackTicks() const;
-    std::uint64_t otherTicks() const;
-    /** true iff stackTicks() <= totalTicks (residual >= 0). */
-    bool decompositionExact() const;
-    double avgTotalNs() const;
-    double componentQueueNs(FabricStation id) const;
-    double componentServiceNs(FabricStation id) const;
-    double otherNs() const;
-
-    /* ---- per-station figures (window length supplied) ---- */
-
-    double util(FabricStation id, Tick elapsed) const;
-    double avgOccupancy(FabricStation id, Tick elapsed) const;
-    double throughputPerNs(FabricStation id, Tick elapsed) const;
-    double avgResidencyNs(FabricStation id) const;
-    double littleDeviation(FabricStation id, Tick elapsed) const;
-    bool littleOk(Tick elapsed, double tol = 0.05) const;
-};
+/** One port's roll-up: the §13 stack core over the five switch
+ *  stations, bracketing every request the port carried. Figures that
+ *  need the window length take the owning FabricSnapshot's elapsed, so
+ *  a cross-port roll-up shares one window. */
+using FabricPortSnap = StationRollup<FabricStation>;
 
 /**
  * The fabric's attribution roll-up: one FabricPortSnap per switch
@@ -161,10 +126,11 @@ struct FabricSnapshot
 };
 
 /**
- * Per-cluster registry: five AccountedStations per switch port plus a
- * per-port end-to-end bracket. Constructed only when fabric
- * attribution is enabled; the switch holds a pointer that is null
- * otherwise. All mutation happens on the cluster event queue.
+ * Per-cluster registry: one StationBoard (five AccountedStations plus
+ * the end-to-end bracket) per switch port, over one shared window.
+ * Constructed only when fabric attribution is enabled; the switch
+ * holds a pointer that is null otherwise. All mutation happens on the
+ * cluster event queue.
  */
 class FabricBoard
 {
@@ -175,54 +141,35 @@ class FabricBoard
     explicit FabricBoard(std::uint32_t ports, std::uint32_t devices = 1,
                          Tick now = 0);
 
-    std::uint32_t ports() const
-    {
-        return static_cast<std::uint32_t>(ports_.size());
-    }
-
     AccountedStation &
     station(std::uint32_t port, FabricStation id)
     {
-        return ports_[port].st[static_cast<std::size_t>(id)];
+        return ports_[port].station(id);
     }
 
     /** A request entered the fabric at @p port, issued at @p t0 on the
-     *  host. Every begin is matched by completeRequest(); in-flight
-     *  brackets are charged up to the accounting horizon exactly like
-     *  AttributionBoard, keeping stack <= total mid-flight. */
+     *  host; see StationBoard::beginRequest. */
     void
     beginRequest(std::uint32_t port, Tick t0)
     {
-        PortBoard &p = ports_[port];
-        ++p.liveCount;
-        p.liveStartSum += t0;
+        ports_[port].beginRequest(t0);
     }
 
     /** The request begun at @p t0 was delivered back at @p t. */
     void
     completeRequest(std::uint32_t port, Tick t0, Tick t)
     {
-        PortBoard &p = ports_[port];
-        --p.liveCount;
-        p.liveStartSum -= t0;
-        ++p.reqCount;
-        p.totalTicks += t - t0;
+        ports_[port].completeRequest(t0, t);
     }
+
+    /** Restart the measurement window of every port at @p now. */
+    void beginWindow(Tick now);
 
     /** Roll up the window ending at @p now. */
     FabricSnapshot snapshot(Tick now) const;
 
   private:
-    struct PortBoard
-    {
-        std::array<AccountedStation, numFabricStations> st{};
-        std::uint64_t reqCount = 0;
-        std::uint64_t totalTicks = 0;
-        std::uint64_t liveCount = 0;
-        std::uint64_t liveStartSum = 0;
-    };
-
-    std::vector<PortBoard> ports_;
+    std::vector<StationBoard<FabricStation>> ports_;
     Tick windowStart_ = 0;
 };
 

@@ -3,8 +3,9 @@
  * Tests for exhaustive latency accounting and bottleneck attribution:
  * station arithmetic, exact/associative snapshot merging, the two
  * built-in invariants (exact decomposition, Little's law) on real
- * runs, the bottleneck verdict's three regimes, and the off-by-default
- * contract (no board, bit-identical results).
+ * runs, the live-bracket horizon rule on the host board and on a
+ * fabric port, the bottleneck verdict's three regimes, and the
+ * off-by-default contract (no board, bit-identical results).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "memo/memo.hh"
 #include "sim/attribution.hh"
+#include "sim/fabric_attrib.hh"
 #include "system/machine.hh"
 
 namespace cxlmemo
@@ -159,18 +161,60 @@ TEST(AttribSnapshot, DerivedFiguresComputedFromMergedSums)
 
 /* ------------------------- board bracket ------------------------- */
 
-TEST(AttributionBoard, StackBoundedWhileRequestsAreInFlight)
+// The bracket and its horizon rule are one core, run by the host board
+// and by every port of the fabric board. Each bracket test drives both:
+// the host board, and port 1 of a two-port fabric board.
+
+struct HostBracket
 {
-    AttributionBoard b(0);
+    static constexpr const char *name = "host board";
+    AttributionBoard b{0};
+
+    void begin(Tick t0) { b.beginRequest(t0); }
+    void complete(Tick t0, Tick t) { b.completeRequest(t0, t); }
+    AccountedStation &stacked() { return b.station(StationId::CxlBackend); }
+    void beginWindow(Tick now) { b.beginWindow(now); }
+    AttribSnapshot snapshot(Tick now) const { return b.snapshot(now); }
+    Tick elapsed(Tick now) const { return b.snapshot(now).elapsed; }
+};
+
+struct FabricBracket
+{
+    static constexpr const char *name = "fabric port 1";
+    static constexpr std::uint32_t port = 1;
+    FabricBoard b{2, 1, 0};
+
+    void begin(Tick t0) { b.beginRequest(port, t0); }
+    void complete(Tick t0, Tick t) { b.completeRequest(port, t0, t); }
+
+    AccountedStation &
+    stacked()
+    {
+        return b.station(port, FabricStation::DevService);
+    }
+
+    void beginWindow(Tick now) { b.beginWindow(now); }
+    FabricPortSnap snapshot(Tick now) const
+    {
+        return b.snapshot(now).ports[port];
+    }
+    Tick elapsed(Tick now) const { return b.snapshot(now).elapsed; }
+};
+
+template <typename Bracket>
+void
+expectStackBoundedInFlight()
+{
+    SCOPED_TRACE(Bracket::name);
+    Bracket b;
     // A retired request and a still-live one that already accumulated
     // stack contributions past the snapshot tick.
-    b.beginRequest(100);
-    b.completeRequest(100, 400);
-    b.beginRequest(500);
-    b.station(StationId::CxlBackend)
-        .account(/*queued=*/50, /*service=*/150, /*busy=*/150,
-                 /*stack=*/true, /*end=*/900);
-    const AttribSnapshot s = b.snapshot(600);
+    b.begin(100);
+    b.complete(100, 400);
+    b.begin(500);
+    b.stacked().account(/*queued=*/50, /*service=*/150, /*busy=*/150,
+                        /*stack=*/true, /*end=*/900);
+    const auto s = b.snapshot(600);
     EXPECT_EQ(s.reqCount, 2u);
     // live bracket charged up to the horizon (900), not `now` (600)
     EXPECT_EQ(s.totalTicks, 300u + (900u - 500u));
@@ -178,16 +222,31 @@ TEST(AttributionBoard, StackBoundedWhileRequestsAreInFlight)
     EXPECT_EQ(s.stackTicks() + s.otherTicks(), s.totalTicks);
 }
 
-TEST(AttributionBoard, WindowResetKeepsLiveBrackets)
+template <typename Bracket>
+void
+expectWindowResetKeepsLiveBrackets()
 {
-    AttributionBoard b(0);
-    b.beginRequest(100);
+    SCOPED_TRACE(Bracket::name);
+    Bracket b;
+    b.begin(100);
     b.beginWindow(1000);
-    b.completeRequest(100, 1200); // straddles the reset
-    const AttribSnapshot s = b.snapshot(2000);
+    b.complete(100, 1200); // straddles the reset
+    const auto s = b.snapshot(2000);
     EXPECT_EQ(s.reqCount, 1u);
     EXPECT_EQ(s.totalTicks, 1100u); // true start, not clamped
-    EXPECT_EQ(s.elapsed, 1000u);
+    EXPECT_EQ(b.elapsed(2000), 1000u);
+}
+
+TEST(AttributionBoard, StackBoundedWhileRequestsAreInFlight)
+{
+    expectStackBoundedInFlight<HostBracket>();
+    expectStackBoundedInFlight<FabricBracket>();
+}
+
+TEST(AttributionBoard, WindowResetKeepsLiveBrackets)
+{
+    expectWindowResetKeepsLiveBrackets<HostBracket>();
+    expectWindowResetKeepsLiveBrackets<FabricBracket>();
 }
 
 /* ----------------------- bottleneck verdict ---------------------- */
@@ -320,7 +379,7 @@ TEST(MachineAttribution, BackendIsTheReadBandwidthBottleneck)
     const AttribSnapshot s =
         snapFromRun(memo::Target::Cxl, MemOp::Kind::Load, 16);
     EXPECT_EQ(s.bottleneck(), StationId::CxlBackend);
-    EXPECT_GT(s.util(StationId::CxlBackend), 0.5);
+    EXPECT_GT(s.util(StationId::CxlBackend, s.elapsed), 0.5);
 }
 
 TEST(MachineAttribution, NtStoreFloodBlamesControllerIngress)
