@@ -2,11 +2,13 @@
 #
 #   cmake -DMEMO=<memo binary> -DGOLDEN_DIR=<tests/golden> -DNAME=<case>
 #         -DWORK_DIR=<scratch dir> "-DARGS=<memo args, ;-separated>"
-#         -P compare.cmake
+#         [-DEXT=txt] -P compare.cmake
 #
 # Runs memo with ARGS inside WORK_DIR and byte-compares its stdout with
-# GOLDEN_DIR/NAME.csv. A case that passes `--metrics-out metrics.csv`
-# also has its metrics timeline compared with GOLDEN_DIR/NAME.metrics.csv.
+# GOLDEN_DIR/NAME.csv, or GOLDEN_DIR/NAME.txt with EXT=txt for human
+# text (tables, verdicts, --help). A case that passes `--metrics-out
+# metrics.csv` also has its metrics timeline compared with
+# GOLDEN_DIR/NAME.metrics.csv.
 # stderr (rate-limited warnings) is not compared; memo must exit 0.
 #
 # With CXLMEMO_UPDATE_GOLDEN=1 in the environment the outputs are
@@ -18,20 +20,23 @@ foreach(var MEMO GOLDEN_DIR NAME WORK_DIR ARGS)
         message(FATAL_ERROR "compare.cmake: ${var} not set")
     endif()
 endforeach()
+if(NOT DEFINED EXT)
+    set(EXT csv)
+endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(
     COMMAND "${MEMO}" ${ARGS}
     WORKING_DIRECTORY "${WORK_DIR}"
-    OUTPUT_FILE "${WORK_DIR}/stdout.csv"
+    OUTPUT_FILE "${WORK_DIR}/stdout.${EXT}"
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "memo ${ARGS} exited ${rc}: ${err}")
 endif()
 
-set(pairs "stdout.csv=${NAME}.csv")
+set(pairs "stdout.${EXT}=${NAME}.${EXT}")
 if(EXISTS "${WORK_DIR}/metrics.csv")
     list(APPEND pairs "metrics.csv=${NAME}.metrics.csv")
 endif()
