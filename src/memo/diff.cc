@@ -9,18 +9,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <unordered_map>
 
 #include "memo/stationtier.hh"
+#include "sim/logging.hh"
 
 namespace cxlmemo
 {
 namespace memo
 {
+
+using logging_detail::format;
 
 namespace
 {
@@ -145,17 +147,6 @@ meanOver(const CsvTable &t, const std::vector<std::string> &keys,
     return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-std::string
-fmt(const char *format, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, format);
-    std::vsnprintf(buf, sizeof(buf), format, args);
-    va_end(args);
-    return buf;
-}
-
 /** JSON string escaping for the few strings we emit (station names
  *  and verdict text -- no control characters in practice, but be
  *  correct anyway). */
@@ -168,7 +159,7 @@ jsonEscape(const std::string &s)
             out += '\\';
             out += c;
         } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += fmt("\\u%04x", c);
+            out += format("\\u%04x", c);
         } else {
             out += c;
         }
@@ -275,9 +266,9 @@ diffRuns(const std::string &csvA, const std::string &csvB,
     // Verdict.
     if (std::fabs(r.shiftPct) < opts.thresholdPct) {
         r.regime = "no-change";
-        r.verdict = fmt("no significant shift (%+.1f%% within the "
-                        "%.1f%% band)",
-                        r.shiftPct, opts.thresholdPct);
+        r.verdict = format("no significant shift (%+.1f%% within the "
+                           "%.1f%% band)",
+                           r.shiftPct, opts.thresholdPct);
         r.ok = true;
         return r;
     }
@@ -315,11 +306,11 @@ diffRuns(const std::string &csvA, const std::string &csvB,
     const double movedBase = *moved == 's' ? top.aS : top.aQ;
     const double movedDelta = *moved == 's' ? top.deltaS : top.deltaQ;
     const std::string movedBy =
-        movedBase > 0.0 ? fmt("%+.0f%%", 100.0 * movedDelta / movedBase)
-                        : fmt("%+.0f ns", movedDelta);
-    r.verdict = fmt("%s %s %s explains %.0f%% of the %s shift; %s",
-                    top.station.c_str(), moved, movedBy.c_str(),
-                    explained, r.basis.c_str(), split);
+        movedBase > 0.0 ? format("%+.0f%%", 100.0 * movedDelta / movedBase)
+                        : format("%+.0f ns", movedDelta);
+    r.verdict = format("%s %s %s explains %.0f%% of the %s shift; %s",
+                       top.station.c_str(), moved, movedBy.c_str(),
+                       explained, r.basis.c_str(), split);
     r.ok = true;
     return r;
 }
@@ -328,20 +319,20 @@ std::string
 diffReportText(const DiffReport &r)
 {
     std::string out =
-        fmt("memo diff: %zu matched row%s\n", r.rows,
-            r.rows == 1 ? "" : "s");
-    out += fmt("  %s: %.1f ns -> %.1f ns (%+.1f%%)\n", r.basis.c_str(),
-               r.aNs, r.bNs, r.shiftPct);
+        format("memo diff: %zu matched row%s\n", r.rows,
+               r.rows == 1 ? "" : "s");
+    out += format("  %s: %.1f ns -> %.1f ns (%+.1f%%)\n", r.basis.c_str(),
+                  r.aNs, r.bNs, r.shiftPct);
     out += "  station deltas (ns/request, biggest mover first):\n";
     for (const StationDelta &d : r.stations) {
         if (d.aQ + d.aS == 0.0 && d.bQ + d.bS == 0.0)
             continue; // station idle in both runs: noise
-        out += fmt("    %-12s %+8.1f  (q %+.1f, s %+.1f)  [%+.1f%%]\n",
-                   d.station.c_str(), d.deltaNs, d.deltaQ, d.deltaS,
-                   d.pct);
+        out += format("    %-12s %+8.1f  (q %+.1f, s %+.1f)  [%+.1f%%]\n",
+                      d.station.c_str(), d.deltaNs, d.deltaQ, d.deltaS,
+                      d.pct);
     }
-    out += fmt("  verdict: %s: %s\n", r.regime.c_str(),
-               r.verdict.c_str());
+    out += format("  verdict: %s: %s\n", r.regime.c_str(),
+                  r.verdict.c_str());
     return out;
 }
 
@@ -349,32 +340,32 @@ std::string
 diffReportJson(const DiffReport &r)
 {
     std::string out = "{";
-    out += fmt("\"regime\":\"%s\",", jsonEscape(r.regime).c_str());
-    out += fmt("\"basis\":\"%s\",", jsonEscape(r.basis).c_str());
-    out += fmt("\"a_ns\":%.3f,", r.aNs);
-    out += fmt("\"b_ns\":%.3f,", r.bNs);
-    out += fmt("\"shift_pct\":%.3f,", r.shiftPct);
-    out += fmt("\"matched_rows\":%zu,", r.rows);
+    out += format("\"regime\":\"%s\",", jsonEscape(r.regime).c_str());
+    out += format("\"basis\":\"%s\",", jsonEscape(r.basis).c_str());
+    out += format("\"a_ns\":%.3f,", r.aNs);
+    out += format("\"b_ns\":%.3f,", r.bNs);
+    out += format("\"shift_pct\":%.3f,", r.shiftPct);
+    out += format("\"matched_rows\":%zu,", r.rows);
     if (!r.stations.empty()) {
         const StationDelta &top = r.stations.front();
-        out += fmt("\"top_station\":\"%s\",",
-                   jsonEscape(top.station).c_str());
-        out += fmt("\"top_delta_ns\":%.3f,", top.deltaNs);
-        out += fmt("\"top_queue_delta_ns\":%.3f,", top.deltaQ);
-        out += fmt("\"top_service_delta_ns\":%.3f,", top.deltaS);
+        out += format("\"top_station\":\"%s\",",
+                      jsonEscape(top.station).c_str());
+        out += format("\"top_delta_ns\":%.3f,", top.deltaNs);
+        out += format("\"top_queue_delta_ns\":%.3f,", top.deltaQ);
+        out += format("\"top_service_delta_ns\":%.3f,", top.deltaS);
     }
-    out += fmt("\"verdict\":\"%s\",", jsonEscape(r.verdict).c_str());
+    out += format("\"verdict\":\"%s\",", jsonEscape(r.verdict).c_str());
     out += "\"stations\":[";
     bool first = true;
     for (const StationDelta &d : r.stations) {
         if (!first)
             out += ",";
         first = false;
-        out += fmt("{\"station\":\"%s\",\"a_q_ns\":%.3f,"
-                   "\"a_s_ns\":%.3f,\"b_q_ns\":%.3f,\"b_s_ns\":%.3f,"
-                   "\"delta_ns\":%.3f}",
-                   jsonEscape(d.station).c_str(), d.aQ, d.aS, d.bQ,
-                   d.bS, d.deltaNs);
+        out += format("{\"station\":\"%s\",\"a_q_ns\":%.3f,"
+                      "\"a_s_ns\":%.3f,\"b_q_ns\":%.3f,\"b_s_ns\":%.3f,"
+                      "\"delta_ns\":%.3f}",
+                      jsonEscape(d.station).c_str(), d.aQ, d.aS, d.bQ,
+                      d.bS, d.deltaNs);
     }
     out += "]}\n";
     return out;

@@ -3,8 +3,9 @@
  * End-to-end smoke checks that drive the built `memo` and bench
  * binaries the way a user does: the attribution CSV's stack
  * arithmetic, the bit-identical dark path, `--jobs` independence, the
- * fig. 3 report verdict, and the argument checks of the guardrail
- * benches.
+ * fig. 3 report verdict, the RAS fault sweep and overload guardrail,
+ * and the argument checks of the benches. The sanitizer build runs
+ * them too, so the recovery paths they drive are ASan/UBSan-checked.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,6 +184,60 @@ TEST(BenchArgs, BadRepsAndJobsExitTwoBeforeAnyRun)
         EXPECT_EQ(r.status, 2) << args;
         EXPECT_EQ(split(r.out, '\n').size(), 1u) << args << ": " << r.out;
     }
+}
+
+TEST(SweepDeterminism, JobsOneAndFourPrintTheSameBytes)
+{
+    const std::string sweep =
+        "--mode seq --target cxl --op load --threads 1,2,4 --csv";
+    const Output j1 = memo(sweep + " --jobs 1");
+    const Output j4 = memo(sweep + " --jobs 4");
+    ASSERT_EQ(j1.status, 0);
+    ASSERT_EQ(j4.status, 0);
+    EXPECT_EQ(j1.out, j4.out);
+}
+
+/** A loaded CXL point with @p spec injected and the forward-progress
+ *  watchdog armed: it completes (a recovery path that loses a request
+ *  or leaks a credit trips the watchdog) and its retry counters show
+ *  the faults really fired. */
+void
+expectFaultSweepRecovers(const std::string &spec)
+{
+    const Output r = memo("--mode loaded --target cxl --threads 4 "
+                          "--fault-spec " + spec + " --watchdog");
+    ASSERT_EQ(r.status, 0) << r.out;
+    EXPECT_TRUE(std::regex_search(r.out, std::regex("crc-errors=[1-9]")))
+        << r.out;
+}
+
+TEST(FaultSweep, CrcOneInTenThousandRecovers)
+{
+    expectFaultSweepRecovers("crc=1e-4,poison=1e-6,timeout=1e-5");
+}
+
+TEST(FaultSweep, CrcOneInAThousandRecovers)
+{
+    expectFaultSweepRecovers("crc=1e-3,drain=1e-4,dram=1e-4,degrade=1000");
+}
+
+TEST(FaultSweep, MalformedSpecExitsNonzeroWithOneLine)
+{
+    const Output r =
+        run(std::string(CXLMEMO_MEMO)
+                + " --mode loaded --target cxl --fault-spec crc=2",
+            /*mergeStderr=*/true);
+    EXPECT_NE(r.status, 0);
+    EXPECT_EQ(split(r.out, '\n').size(), 1u) << r.out;
+}
+
+TEST(Overload, QuickMatrixHoldsItsContract)
+{
+    // The bench asserts the credit ledger, no watchdog trip and the
+    // AIMD bandwidth floor itself, and exits nonzero on a violation.
+    const Output r = run(std::string(CXLMEMO_BENCH_DIR)
+                         + "/bench_overload --quick --jobs 2");
+    EXPECT_EQ(r.status, 0) << r.out;
 }
 
 } // namespace
