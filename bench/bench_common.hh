@@ -9,12 +9,13 @@
 #ifndef CXLMEMO_BENCH_BENCH_COMMON_HH
 #define CXLMEMO_BENCH_BENCH_COMMON_HH
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
-#include "sim/specparse.hh"
+#include "sim/flagparse.hh"
 
 namespace cxlmemo
 {
@@ -35,52 +36,52 @@ note(const char *text)
     std::printf("-- %s\n", text);
 }
 
-/**
- * Value of `--flag N` (or its short @p alias) in argv, an integer in
- * [@p lo, @p hi]; @p dflt when the flag is absent. A missing value,
- * garbage, a sign or a value out of range exits 2 with one line.
- */
-inline unsigned
-countFromArgs(int argc, char **argv, const char *flag, const char *alias,
-              unsigned dflt, unsigned lo, unsigned hi)
+/** The flags a bench binary may take; each bench picks its rows. */
+struct Args
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0
-            && (alias == nullptr || std::strcmp(argv[i], alias) != 0))
-            continue;
-        std::uint64_t v = 0;
-        if (i + 1 == argc || !specparse::parseU64(argv[i + 1], v)
-            || v < lo || v > hi) {
-            std::fprintf(stderr, "%s: %s needs an integer in [%u, %u], "
-                         "got '%s'\n",
-                         argv[0], flag, lo, hi,
-                         i + 1 < argc ? argv[i + 1] : "");
-            std::exit(2);
-        }
-        return static_cast<unsigned>(v);
+    unsigned jobs = 1;
+    unsigned reps = 3;
+    std::string out;
+    bool quick = false;
+};
+
+using ArgFlag = specparse::Flag<Args>;
+
+/** Host threads for sweep points, as in `memo --jobs` (0 = one per
+ *  hardware thread); the output is identical for any value. */
+inline const ArgFlag jobsFlag{"--jobs", "-j", specparse::Arg::Size,
+                              &Args::jobs, {0, 256}, "N",
+                              "host threads for sweep points"};
+/** Interleaved timing repetitions of a guardrail bench. */
+inline const ArgFlag repsFlag{"--reps", nullptr, specparse::Arg::Size,
+                              &Args::reps, {1, 1000}, "N",
+                              "timing repetitions"};
+/** Where a guardrail bench writes its JSON verdict. */
+inline const ArgFlag outFlag{"--out", nullptr, specparse::Arg::Text,
+                             &Args::out, {}, "FILE", "JSON output file"};
+/** The reduced matrix (sanitizer smoke). */
+inline const ArgFlag quickFlag{"--quick", nullptr, specparse::Arg::Switch,
+                               &Args::quick, {}, "", "reduced matrix"};
+
+/**
+ * Parse argv over @p dflt with the @p flags this bench takes. An
+ * unknown argument, a missing value, garbage or a value out of range
+ * exits 2 with one line, before any workload runs.
+ */
+inline Args
+parseArgs(int argc, char **argv, std::initializer_list<ArgFlag> flags,
+          Args dflt = {})
+{
+    const std::vector<ArgFlag> table(flags);
+    std::string error;
+    const auto args = specparse::parseArgv(specparse::Argv<Args>{table},
+                                           {argv + 1, argv + argc}, error,
+                                           dflt);
+    if (!args) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+        std::exit(2);
     }
-    return dflt;
-}
-
-/**
- * Parse `--jobs N` / `-j N` from a figure binary's argv (default 1,
- * 0 = one per hardware thread, at most 256 as in `memo --jobs`). The
- * sweep output is identical for any value; jobs only changes
- * wall-clock time.
- */
-inline unsigned
-jobsFromArgs(int argc, char **argv)
-{
-    return countFromArgs(argc, argv, "--jobs", "-j", 1, 0, 256);
-}
-
-/** Parse `--reps N` from a guardrail bench's argv (default 3, 1..1000):
- *  the number of interleaved timing repetitions. */
-inline int
-repsFromArgs(int argc, char **argv)
-{
-    return static_cast<int>(
-        countFromArgs(argc, argv, "--reps", nullptr, 3, 1, 1000));
+    return *args;
 }
 
 } // namespace bench

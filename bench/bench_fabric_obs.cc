@@ -87,12 +87,11 @@ main(int argc, char **argv)
 {
     using namespace cxlmemo;
 
-    const int reps = bench::repsFromArgs(argc, argv);
-    std::string out = "BENCH_fabric_obs.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0)
-            out = argv[i + 1];
-    }
+    const bench::Args args =
+        bench::parseArgs(argc, argv, {bench::repsFlag, bench::outFlag},
+                         {.out = "BENCH_fabric_obs.json"});
+    const int reps = static_cast<int>(args.reps);
+    const std::string &out = args.out;
 
     bench::banner("BENCH fabric_obs",
                   "fabric observability overhead on the pool drill");

@@ -23,7 +23,8 @@ using namespace cxlmemo;
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+    const unsigned jobs =
+        bench::parseArgs(argc, argv, {bench::jobsFlag}).jobs;
 
     bench::banner("Fault tail",
                   "CXL loaded-latency tail vs link CRC error rate");

@@ -16,7 +16,8 @@ using namespace cxlmemo;
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+    const unsigned jobs =
+        bench::parseArgs(argc, argv, {bench::jobsFlag}).jobs;
 
     bench::banner("Figure 3",
                   "Sequential access bandwidth (GB/s) vs thread count");

@@ -18,7 +18,8 @@ using namespace cxlmemo;
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+    const unsigned jobs =
+        bench::parseArgs(argc, argv, {bench::jobsFlag}).jobs;
 
     bench::banner("Figure 5",
                   "Random block access bandwidth (GB/s)");

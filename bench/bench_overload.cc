@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,27 +42,20 @@ struct Config
     const char *spec; //!< --qos-spec syntax; empty = QoS disabled
 };
 
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = bench::jobsFromArgs(argc, argv);
+    const bench::Args args =
+        bench::parseArgs(argc, argv, {bench::jobsFlag, bench::quickFlag});
+    const unsigned jobs = args.jobs;
 
     bench::banner("Overload survival",
                   "offered nt-store load vs achieved CXL bandwidth "
                   "and probe p99, with and without QoS");
 
-    const bool quick = hasFlag(argc, argv, "--quick");
+    const bool quick = args.quick;
     const std::vector<Config> configs = {
         {"none", ""},
         {"credits", "credits=24"},

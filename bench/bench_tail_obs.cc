@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,12 +71,11 @@ main(int argc, char **argv)
 {
     using namespace cxlmemo;
 
-    const int reps = bench::repsFromArgs(argc, argv);
-    std::string out = "BENCH_tail_obs.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0)
-            out = argv[i + 1];
-    }
+    const bench::Args args =
+        bench::parseArgs(argc, argv, {bench::repsFlag, bench::outFlag},
+                         {.out = "BENCH_tail_obs.json"});
+    const int reps = static_cast<int>(args.reps);
+    const std::string &out = args.out;
 
     bench::banner("BENCH tail_obs",
                   "worst-K tail capture overhead on loaded CXL reads");

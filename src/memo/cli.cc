@@ -1,14 +1,13 @@
 #include "memo/cli.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <sstream>
 
 #include "memo/diff.hh"
 #include "memo/stationtier.hh"
 #include "sim/histogram.hh"
+#include "sim/logging.hh"
 #include "sim/sweep.hh"
 #include "sim/tailcap.hh"
 #include "sim/trace.hh"
@@ -18,88 +17,72 @@ namespace cxlmemo
 namespace memo
 {
 
+using logging_detail::format;
+
 namespace
 {
 
-std::optional<Target>
-parseTarget(const std::string &s)
+using specparse::Arg;
+using specparse::Flag;
+using specparse::Name;
+
+constexpr std::uint32_t
+modeBit(CliMode m)
 {
-    if (s == "ddr5-l8" || s == "local" || s == "dram")
-        return Target::Ddr5Local;
-    if (s == "ddr5-r1" || s == "remote")
-        return Target::Ddr5Remote;
-    if (s == "cxl")
-        return Target::Cxl;
-    return std::nullopt;
+    return 1u << static_cast<int>(m);
 }
 
-std::optional<MemOp::Kind>
-parseOp(const std::string &s)
+// The mode rules. Diff mode compares finished runs, so every flag that
+// changes a simulation is a mistake worth naming; pool mode carries
+// every disturbance inside --pool-spec, so a machine-level spec would
+// silently apply to nothing.
+constexpr specparse::Modes simulating{
+    ~modeBit(CliMode::Diff),
+    "diff mode compares finished runs and takes no simulation flags"};
+constexpr specparse::Modes machineSpec{
+    ~modeBit(CliMode::Diff) & ~modeBit(CliMode::Pool),
+    "pool mode takes disturbances via --pool-spec only, diff mode no "
+    "simulation flags"};
+constexpr specparse::Modes poolOnly{modeBit(CliMode::Pool)};
+constexpr specparse::Modes diffOnly{modeBit(CliMode::Diff)};
+
+template <auto E>
+constexpr Name
+name(const char *n)
 {
-    if (s == "load" || s == "ld")
-        return MemOp::Kind::Load;
-    if (s == "store" || s == "st")
-        return MemOp::Kind::Store;
-    if (s == "nt-store" || s == "nt")
-        return MemOp::Kind::NtStore;
-    return std::nullopt;
+    return {n, static_cast<int>(E)};
 }
 
-std::optional<CliMode>
-parseMode(const std::string &s)
-{
-    if (s == "latency")
-        return CliMode::Latency;
-    if (s == "seq")
-        return CliMode::Seq;
-    if (s == "rand")
-        return CliMode::Rand;
-    if (s == "chase")
-        return CliMode::Chase;
-    if (s == "copy")
-        return CliMode::Copy;
-    if (s == "loaded")
-        return CliMode::Loaded;
-    if (s == "report")
-        return CliMode::Report;
-    if (s == "drill")
-        return CliMode::Drill;
-    if (s == "pool")
-        return CliMode::Pool;
-    if (s == "diff")
-        return CliMode::Diff;
-    if (s == "help")
-        return CliMode::Help;
-    return std::nullopt;
-}
-
-std::optional<CopyPath>
-parsePath(const std::string &s)
-{
-    if (s == "d2d")
-        return CopyPath::D2D;
-    if (s == "d2c")
-        return CopyPath::D2C;
-    if (s == "c2d")
-        return CopyPath::C2D;
-    if (s == "c2c")
-        return CopyPath::C2C;
-    return std::nullopt;
-}
-
-std::optional<CopyMethod>
-parseMethod(const std::string &s)
-{
-    if (s == "memcpy")
-        return CopyMethod::Memcpy;
-    if (s == "movdir64b" || s == "movdir")
-        return CopyMethod::Movdir64;
-    if (s == "dsa-sync")
-        return CopyMethod::DsaSync;
-    if (s == "dsa" || s == "dsa-async")
-        return CopyMethod::DsaAsync;
-    return std::nullopt;
-}
+constexpr Name modeNames[] = {
+    name<CliMode::Latency>("latency"), name<CliMode::Seq>("seq"),
+    name<CliMode::Rand>("rand"),       name<CliMode::Chase>("chase"),
+    name<CliMode::Copy>("copy"),       name<CliMode::Loaded>("loaded"),
+    name<CliMode::Report>("report"),   name<CliMode::Drill>("drill"),
+    name<CliMode::Pool>("pool"),       name<CliMode::Diff>("diff"),
+    name<CliMode::Help>("help"),
+};
+constexpr Name targetNames[] = {
+    name<Target::Ddr5Local>("ddr5-l8"), name<Target::Ddr5Local>("local"),
+    name<Target::Ddr5Local>("dram"),    name<Target::Ddr5Remote>("ddr5-r1"),
+    name<Target::Ddr5Remote>("remote"), name<Target::Cxl>("cxl"),
+};
+constexpr Name opNames[] = {
+    name<MemOp::Kind::Load>("load"),      name<MemOp::Kind::Load>("ld"),
+    name<MemOp::Kind::Store>("store"),    name<MemOp::Kind::Store>("st"),
+    name<MemOp::Kind::NtStore>("nt-store"), name<MemOp::Kind::NtStore>("nt"),
+};
+constexpr Name pathNames[] = {
+    name<CopyPath::D2D>("d2d"), name<CopyPath::D2C>("d2c"),
+    name<CopyPath::C2D>("c2d"), name<CopyPath::C2C>("c2c"),
+};
+constexpr Name methodNames[] = {
+    name<CopyMethod::Memcpy>("memcpy"),
+    name<CopyMethod::Movdir64>("movdir64b"),
+    name<CopyMethod::Movdir64>("movdir"),
+    name<CopyMethod::DsaSync>("dsa-sync"),
+    name<CopyMethod::DsaAsync>("dsa"),
+    name<CopyMethod::DsaAsync>("dsa-async"),
+};
 
 /** An empty or whitespace-only spec value means the shell ate the
  *  real one (unquoted substitution, stray trailing flag); every spec
@@ -108,20 +91,30 @@ parseMethod(const std::string &s)
 bool
 blankSpec(const std::string &s)
 {
-    for (char c : s)
-        if (!std::isspace(static_cast<unsigned char>(c)))
-            return false;
-    return true;
+    return std::all_of(s.begin(), s.end(), [](unsigned char c) {
+        return std::isspace(c);
+    });
 }
 
 template <class Spec, Spec CliConfig::*member>
 bool
 takeSpec(CliConfig &cfg, const std::string &text, std::string &error)
 {
+    if (blankSpec(text)) {
+        error = "empty " + std::string(Spec::grammar().name);
+        return false;
+    }
     const auto spec = Spec::parse(text, error);
     if (spec)
         cfg.*member = *spec;
     return spec.has_value();
+}
+
+template <class Spec, Spec CliConfig::*member>
+bool
+specEnabled(const CliConfig &cfg)
+{
+    return (cfg.*member).enabled();
 }
 
 template <class Spec>
@@ -131,119 +124,170 @@ specKeys()
     return specparse::usage(Spec::grammar(), std::string(4, ' '));
 }
 
-/** The four key=value spec flags. One entry drives both the --help
- *  text and parseCli's handling of the flag. */
-struct SpecFlag
+/** A whole number >= 1 after an optional @p prefix. */
+std::optional<std::uint64_t>
+positiveSize(std::string text, const char *prefix = "")
 {
-    const char *flag;
-    const char *what;    //!< usage text before the key list
-    const char *example; //!< usage text after it
-    std::string (*keys)();
-    bool (*take)(CliConfig &, const std::string &, std::string &);
-};
-
-constexpr SpecFlag specFlags[] = {
-    {"--fault-spec", "RAS fault injection",
-     "e.g. --fault-spec crc=1e-4,poison=1e-6",
-     &specKeys<FaultSpec>, &takeSpec<FaultSpec, &CliConfig::faults>},
-    {"--qos-spec", "CXL overload control",
-     "e.g. --qos-spec credits=24,policy=aimd",
-     &specKeys<QosSpec>, &takeSpec<QosSpec, &CliConfig::qos>},
-    {"--chaos-spec", "failure-lifecycle schedule",
-     "e.g. --chaos-spec link-down-at-ns=60000,\n"
-     "      remove-at-ns=100000,readd-at-ns=130000",
-     &specKeys<ChaosSpec>, &takeSpec<ChaosSpec, &CliConfig::chaos>},
-    {"--pool-spec",
-     "pooled-cluster scenario\n"
-     "                (pool mode only; machine-level specs do not\n"
-     "                apply)",
-     "e.g. --pool-spec hosts=4,crash-host=1,crash-at-ns=20000",
-     &specKeys<PoolSpec>, &takeSpec<PoolSpec, &CliConfig::poolSpec>},
-};
-
-const SpecFlag *
-findSpecFlag(const std::string &flag)
-{
-    for (const SpecFlag &sf : specFlags)
-        if (flag == sf.flag)
-            return &sf;
-    return nullptr;
+    if (text.rfind(prefix, 0) == 0)
+        text.erase(0, std::string(prefix).size());
+    const auto n = parseSize(text);
+    return n && *n > 0 ? n : std::nullopt;
 }
 
-std::string
-specUsage()
+bool
+takeTraceSample(CliConfig &cfg, const std::string &v, std::string &error)
 {
-    std::string out;
-    for (const SpecFlag &sf : specFlags) {
-        std::string flag = sf.flag;
-        flag.resize(14, ' ');
-        out += "  " + flag + "key=value[,...] " + sf.what + ":\n"
-               + sf.keys() + "    " + sf.example + "\n";
+    // "N" and "1/N" both mean: trace every Nth request.
+    const auto n = positiveSize(v, "1/");
+    if (!n)
+        error = "bad --trace-sample: " + v + " (expected N or 1/N, N >= 1)";
+    cfg.traceSampleEvery = n.value_or(0);
+    return n.has_value();
+}
+
+bool
+takeWatchdogNs(CliConfig &cfg, const std::string &v, std::string &error)
+{
+    const auto n = positiveSize(v);
+    if (!n)
+        error = "bad --watchdog-ns: " + v + " (expected ns >= 1)";
+    cfg.watchdogUs = static_cast<double>(n.value_or(0)) / 1000.0;
+    return n.has_value();
+}
+
+/** `memo diff A.csv B.csv`: the verb up front, then the two files. */
+bool
+takeDiffOperand(CliConfig &cfg, std::size_t at, const std::string &a,
+                std::string &error)
+{
+    if (a == "diff" && at == 0) {
+        cfg.mode = CliMode::Diff;
+        return true;
     }
-    return out;
+    if (cfg.mode != CliMode::Diff || a.empty() || a[0] == '-')
+        return false;
+    std::string &file = cfg.diffA.empty() ? cfg.diffA : cfg.diffB;
+    if (!file.empty()) {
+        error = "diff takes exactly two files: " + a;
+        return false;
+    }
+    file = a;
+    return true;
 }
 
 } // namespace
 
-std::optional<std::uint64_t>
-parseSize(const std::string &text)
+const specparse::Argv<CliConfig> &
+cliFlags()
 {
-    if (text.empty())
-        return std::nullopt;
-    std::uint64_t mult = 1;
-    std::string digits = text;
-    const char suffix =
-        static_cast<char>(std::toupper(static_cast<unsigned char>(
-            text.back())));
-    if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
-        mult = suffix == 'K' ? kiB : suffix == 'M' ? miB : giB;
-        digits = text.substr(0, text.size() - 1);
-    }
-    if (digits.empty())
-        return std::nullopt;
-    constexpr std::uint64_t maxVal =
-        std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t value = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9')
-            return std::nullopt;
-        const auto digit = static_cast<std::uint64_t>(c - '0');
-        if (value > (maxVal - digit) / 10)
-            return std::nullopt; // overflow
-        value = value * 10 + digit;
-    }
-    if (mult > 1 && value > maxVal / mult)
-        return std::nullopt; // overflow
-    return value * mult;
-}
-
-std::optional<std::vector<std::uint64_t>>
-parseListSpec(const std::string &text)
-{
-    std::vector<std::uint64_t> out;
-    const auto dash = text.find('-');
-    if (dash != std::string::npos) {
-        const auto lo = parseSize(text.substr(0, dash));
-        const auto hi = parseSize(text.substr(dash + 1));
-        if (!lo || !hi || *lo == 0 || *lo > *hi)
-            return std::nullopt;
-        // Powers-of-two steps from lo, plus the exact endpoint.
-        for (std::uint64_t v = *lo; v < *hi; v *= 2)
-            out.push_back(v);
-        out.push_back(*hi);
-        return out;
-    }
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        const auto v = parseSize(item);
-        if (!v)
-            return std::nullopt;
-        out.push_back(*v);
-    }
-    if (out.empty())
-        return std::nullopt;
-    return out;
+    using C = CliConfig;
+    static const Flag<C> flags[] = {
+        {"--help", "-h", Arg::Stop, {}, {}, "", "print this text",
+         {}, {}, 1,
+         [](C &c, const std::string &, std::string &) {
+             c.mode = CliMode::Help;
+             return true;
+         }},
+        {"--mode", nullptr, Arg::Enum, specparse::enumRef<&C::mode>(), {},
+         "MODE", "what to run (modes above)", {}, modeNames},
+        {"--target", nullptr, Arg::Enum, specparse::enumRef<&C::target>(),
+         {}, "", "memory under test", {}, targetNames},
+        {"--op", nullptr, Arg::Enum, specparse::enumRef<&C::op>(), {}, "",
+         "access kind", {}, opNames},
+        {"--threads", nullptr, Arg::SizeList, &C::threads, {1, 64},
+         "LIST", "thread counts to sweep"},
+        {"--block", nullptr, Arg::SizeList, &C::blockBytes, {64, 64 * miB},
+         "LIST", "random-block sizes (rand mode)", {}, {}, cachelineBytes},
+        {"--wss", nullptr, Arg::SizeList, &C::wssBytes, {128, 8 * giB},
+         "LIST", "pointer-chase working sets (required in chase mode)",
+         {}, {}, cachelineBytes},
+        {"--path", nullptr, Arg::Enum, specparse::enumRef<&C::path>(), {},
+         "", "copy direction (copy mode)", {}, pathNames},
+        {"--method", nullptr, Arg::Enum, specparse::enumRef<&C::method>(),
+         {}, "", "copy engine (copy mode)", {}, methodNames},
+        {"--batch", nullptr, Arg::Size, &C::batch, {1, 1024}, "N",
+         "DSA batch size (copy mode)"},
+        {"--prefetch", nullptr, Arg::Switch, &C::prefetch, {}, "",
+         "enable hardware prefetchers"},
+        {"--csv", nullptr, Arg::Switch, &C::csv, {}, "",
+         "machine-readable output"},
+        {"--seed", nullptr, Arg::Size, &C::seed, {}, "N",
+         "workload RNG seed"},
+        {"--jobs", "-j", Arg::Size, &C::jobs, {0, 256}, "N",
+         "host threads for sweep points (0 = all cores; output identical "
+         "for any N)"},
+        {"--fault-spec", nullptr, Arg::Call, {}, {}, "key=value[,...]",
+         "RAS fault injection, e.g. crc=1e-4,poison=1e-6",
+         machineSpec, {}, 1, &takeSpec<FaultSpec, &C::faults>,
+         &specEnabled<FaultSpec, &C::faults>, &specKeys<FaultSpec>},
+        {"--qos-spec", nullptr, Arg::Call, {}, {}, "key=value[,...]",
+         "CXL overload control, e.g. credits=24,policy=aimd",
+         machineSpec, {}, 1, &takeSpec<QosSpec, &C::qos>,
+         &specEnabled<QosSpec, &C::qos>, &specKeys<QosSpec>},
+        {"--chaos-spec", nullptr, Arg::Call, {}, {}, "key=value[,...]",
+         "failure-lifecycle schedule, e.g. "
+         "remove-at-ns=100000,readd-at-ns=130000",
+         machineSpec, {}, 1, &takeSpec<ChaosSpec, &C::chaos>,
+         &specEnabled<ChaosSpec, &C::chaos>, &specKeys<ChaosSpec>},
+        {"--pool-spec", nullptr, Arg::Call, {}, {}, "key=value[,...]",
+         "pooled-cluster scenario, e.g. hosts=4,crash-host=1",
+         poolOnly, {}, 1, &takeSpec<PoolSpec, &C::poolSpec>, nullptr,
+         &specKeys<PoolSpec>},
+        {"--watchdog", nullptr, Arg::Switch, {}, {}, "",
+         "arm the forward-progress watchdog (100 us snapshots unless "
+         "--watchdog-ns)",
+         simulating, {}, 1,
+         [](C &c, const std::string &, std::string &) {
+             if (c.watchdogUs == 0.0)
+                 c.watchdogUs = 100.0;
+             return true;
+         }},
+        {"--watchdog-ns", nullptr, Arg::Call, {}, {}, "N",
+         "watchdog snapshot interval in ns", simulating, {}, 1,
+         &takeWatchdogNs},
+        {"--trace-out", nullptr, Arg::Text, &C::traceOut, {}, "FILE",
+         "write sampled request-lifecycle spans as Chrome trace-event "
+         "JSON (Perfetto-loadable)",
+         simulating, {}, 1, nullptr,
+         [](const C &c) { return !c.traceOut.empty(); }},
+        {"--trace-sample", nullptr, Arg::Call, {}, {}, "N|1/N",
+         "trace every Nth request (default 1/64 when tracing is enabled)",
+         simulating, {}, 1, &takeTraceSample},
+        {"--metrics-out", nullptr, Arg::Text, &C::metricsOut, {}, "FILE",
+         "write the interval-metrics timeline (long-format CSV: "
+         "point,time_ns,metric,kind,value)",
+         simulating, {}, 1, nullptr,
+         [](const C &c) { return !c.metricsOut.empty(); }},
+        {"--metrics-interval-ns", nullptr, Arg::Size, &C::metricsIntervalNs,
+         {1, specparse::inf}, "N",
+         "metrics snapshot interval (default 1000 when --metrics-out is "
+         "given)",
+         simulating},
+        {"--histograms", nullptr, Arg::Switch, &C::histograms, {}, "",
+         "per-component latency histograms (extra CSV columns / report "
+         "lines; in pool mode, per-host lat_* columns over the "
+         "read-latency histogram)",
+         simulating},
+        {"--attrib", nullptr, Arg::Switch, &C::attrib, {}, "",
+         "exhaustive latency accounting: per-station "
+         "queue/service/utilization columns, the demand-read latency "
+         "stack and an automatic bottleneck verdict (implied by --mode "
+         "report)",
+         simulating},
+        {"--tail-trace", nullptr, Arg::Size, &C::tailK, {1, 1024}, "K",
+         "worst-K outlier capture: every completed demand read competes "
+         "for the K worst per regime class (local/remote/cxl/fabric), "
+         "kept with the full per-stage bracket -- tail_* CSV columns, a "
+         "dedicated tail track in --trace-out, and the watchdog "
+         "post-mortem",
+         simulating},
+        {"--json", nullptr, Arg::Switch, &C::diffJson, {}, "",
+         "machine-readable JSON verdict", diffOnly},
+        {"--diff-threshold", nullptr, Arg::Real, &C::diffThresholdPct,
+         {0, 100}, "P", "no-change band in percent", diffOnly},
+    };
+    static const specparse::Argv<C> argv{flags, "--mode", &takeDiffOperand};
+    return argv;
 }
 
 std::string
@@ -252,6 +296,7 @@ cliUsage()
     return
         "MEMO: microbenchmark for CXL/NUMA memory characterization\n"
         "usage: memo --mode <mode> [options]\n"
+        "       memo diff A.csv B.csv [--json] [--diff-threshold P]\n"
         "\n"
         "modes:\n"
         "  latency   instruction latency probes (Fig. 2)\n"
@@ -283,49 +328,11 @@ cliUsage()
         "            per-station deltas of the exact latency stack\n"
         "            and names the station that moved the tail\n"
         "            (--json for a machine-readable CI gate)\n"
+        "  help      print this text (the default)\n"
         "\n"
-        "options:\n"
-        "  --target  ddr5-l8 | ddr5-r1 | cxl         (default ddr5-l8)\n"
-        "  --op      load | store | nt-store         (default load)\n"
-        "  --threads N | a,b,c | lo-hi               (default 1)\n"
-        "  --block   SIZE | list/range (rand mode)   (default 4K)\n"
-        "  --wss     SIZE | list/range (chase mode)\n"
-        "  --path    d2d | d2c | c2d | c2c (copy)    (default d2c)\n"
-        "  --method  memcpy | movdir64b | dsa-sync | dsa (copy)\n"
-        "  --batch   N   DSA batch size              (default 1)\n"
-        "  --prefetch    enable hardware prefetchers\n"
-        "  --csv         machine-readable output\n"
-        "  --seed    N   workload RNG seed           (default 42)\n"
-        "  --jobs/-j N   host threads for sweep points (default 1;\n"
-        "                0 = all cores; output identical for any N)\n"
-        + specUsage() +
-        "  --watchdog-ns N   watchdog snapshot interval in ns\n"
-        "  --trace-out FILE  write sampled request-lifecycle spans as\n"
-        "                Chrome trace-event JSON (Perfetto-loadable)\n"
-        "  --trace-sample N | 1/N   trace every Nth request\n"
-        "                (default 1/64 when tracing is enabled)\n"
-        "  --metrics-out FILE   write the interval-metrics timeline\n"
-        "                (long-format CSV: point,time_ns,metric,kind,\n"
-        "                value)\n"
-        "  --metrics-interval-ns N   metrics snapshot interval\n"
-        "                (default 1000 when --metrics-out is given)\n"
-        "  --histograms  per-component latency histograms (extra CSV\n"
-        "                columns / report lines; in pool mode, per-host\n"
-        "                lat_* columns over the read-latency histogram)\n"
-        "  --attrib      exhaustive latency accounting: per-station\n"
-        "                queue/service/utilization columns, the\n"
-        "                demand-read latency stack and an automatic\n"
-        "                bottleneck verdict (implied by --mode report)\n"
-        "  --tail-trace K   worst-K outlier capture: every completed\n"
-        "                demand read competes for the K worst per\n"
-        "                regime class (local/remote/cxl/fabric), kept\n"
-        "                with the full per-stage bracket -- tail_*\n"
-        "                CSV columns, a dedicated tail track in\n"
-        "                --trace-out, and the watchdog post-mortem\n"
-        "                (works in pool mode too)\n"
-        "  --json        diff mode: machine-readable JSON verdict\n"
-        "  --diff-threshold P   diff mode: no-change band in percent\n"
-        "                (default 5)\n"
+        "options (N: an integer, K|M|G suffix allowed; LIST: N, a,b,c or\n"
+        "lo-hi, doubling from lo):\n"
+        + specparse::usage(cliFlags()) +
         "\n"
         "  --opt=value is accepted everywhere --opt value is.\n";
 }
@@ -347,351 +354,16 @@ CliConfig::observability() const
 }
 
 std::optional<CliConfig>
-parseCli(const std::vector<std::string> &rawArgs, std::string &error)
+parseCli(const std::vector<std::string> &args, std::string &error)
 {
-    // Normalize "--opt=value" into "--opt value" so both spellings
-    // work; values themselves (e.g. --fault-spec crc=1e-4) keep their
-    // '=' because only tokens starting with "--" are split.
-    std::vector<std::string> args;
-    args.reserve(rawArgs.size());
-    for (const std::string &a : rawArgs) {
-        const auto eq = a.find('=');
-        if (a.size() > 2 && a.compare(0, 2, "--") == 0
-            && eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    CliConfig cfg;
-    bool sawPoolSpec = false;
-    bool sawJson = false;
-    bool sawThreshold = false;
-    auto need = [&](std::size_t i) -> std::optional<std::string> {
-        if (i + 1 >= args.size()) {
-            error = "missing value after " + args[i];
-            return std::nullopt;
-        }
-        return args[i + 1];
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        if (a == "--help" || a == "-h") {
-            cfg.mode = CliMode::Help;
-            return cfg;
-        } else if (a == "--mode") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto m = parseMode(*v);
-            if (!m) {
-                error = "unknown mode: " + *v;
-                return std::nullopt;
-            }
-            cfg.mode = *m;
-            ++i;
-        } else if (a == "--target") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto t = parseTarget(*v);
-            if (!t) {
-                error = "unknown target: " + *v;
-                return std::nullopt;
-            }
-            cfg.target = *t;
-            ++i;
-        } else if (a == "--op") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto o = parseOp(*v);
-            if (!o) {
-                error = "unknown op: " + *v;
-                return std::nullopt;
-            }
-            cfg.op = *o;
-            ++i;
-        } else if (a == "--threads") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto list = parseListSpec(*v);
-            if (!list) {
-                error = "bad thread spec: " + *v;
-                return std::nullopt;
-            }
-            cfg.threads.clear();
-            for (std::uint64_t t : *list) {
-                if (t == 0 || t > 64) {
-                    error = "thread count out of range";
-                    return std::nullopt;
-                }
-                cfg.threads.push_back(static_cast<std::uint32_t>(t));
-            }
-            ++i;
-        } else if (a == "--block") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto list = parseListSpec(*v);
-            if (!list) {
-                error = "bad block spec: " + *v;
-                return std::nullopt;
-            }
-            for (std::uint64_t b : *list) {
-                if (b < cachelineBytes || b % cachelineBytes != 0
-                    || b > 64 * miB) {
-                    error = "block size must be a multiple of 64 in "
-                            "[64, 64M]: " + *v;
-                    return std::nullopt;
-                }
-            }
-            cfg.blockBytes = *list;
-            ++i;
-        } else if (a == "--wss") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto list = parseListSpec(*v);
-            if (!list) {
-                error = "bad wss spec: " + *v;
-                return std::nullopt;
-            }
-            for (std::uint64_t w : *list) {
-                // The pointer chase needs at least two lines; huge
-                // sets would just swamp the simulated capacity.
-                if (w < 2 * cachelineBytes || w % cachelineBytes != 0
-                    || w > 8 * giB) {
-                    error = "wss must be a multiple of 64 in "
-                            "[128, 8G]: " + *v;
-                    return std::nullopt;
-                }
-            }
-            cfg.wssBytes = *list;
-            ++i;
-        } else if (a == "--path") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto p = parsePath(*v);
-            if (!p) {
-                error = "unknown path: " + *v;
-                return std::nullopt;
-            }
-            cfg.path = *p;
-            ++i;
-        } else if (a == "--method") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto m = parseMethod(*v);
-            if (!m) {
-                error = "unknown method: " + *v;
-                return std::nullopt;
-            }
-            cfg.method = *m;
-            ++i;
-        } else if (a == "--batch") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto b = parseSize(*v);
-            if (!b || *b == 0 || *b > 1024) {
-                error = "bad batch (1..1024): " + *v;
-                return std::nullopt;
-            }
-            cfg.batch = static_cast<std::uint32_t>(*b);
-            ++i;
-        } else if (a == "--seed") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto s = parseSize(*v);
-            if (!s) {
-                error = "bad seed: " + *v;
-                return std::nullopt;
-            }
-            cfg.seed = *s;
-            ++i;
-        } else if (a == "--jobs" || a == "-j") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto j = parseSize(*v);
-            if (!j || *j > 256) {
-                error = "bad jobs count: " + *v;
-                return std::nullopt;
-            }
-            cfg.jobs = static_cast<std::uint32_t>(*j);
-            ++i;
-        } else if (const SpecFlag *sf = findSpecFlag(a)) {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            if (blankSpec(*v)) {
-                error = "empty " + a.substr(2);
-                return std::nullopt;
-            }
-            if (!sf->take(cfg, *v, error))
-                return std::nullopt;
-            sawPoolSpec = sawPoolSpec || a == "--pool-spec";
-            ++i;
-        } else if (a == "--watchdog") {
-            if (cfg.watchdogUs == 0.0)
-                cfg.watchdogUs = 100.0;
-        } else if (a == "--watchdog-ns") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto n = parseSize(*v);
-            if (!n || *n == 0) {
-                error = "bad watchdog interval (ns): " + *v;
-                return std::nullopt;
-            }
-            cfg.watchdogUs = static_cast<double>(*n) / 1000.0;
-            ++i;
-        } else if (a == "--trace-out") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            cfg.traceOut = *v;
-            ++i;
-        } else if (a == "--trace-sample") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            // "N" and "1/N" both mean: trace every Nth request.
-            std::string n = *v;
-            if (n.rfind("1/", 0) == 0)
-                n = n.substr(2);
-            auto s = parseSize(n);
-            if (!s || *s == 0) {
-                error = "bad trace sample rate (N or 1/N): " + *v;
-                return std::nullopt;
-            }
-            cfg.traceSampleEvery = *s;
-            ++i;
-        } else if (a == "--metrics-out") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            cfg.metricsOut = *v;
-            ++i;
-        } else if (a == "--metrics-interval-ns") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto n = parseSize(*v);
-            if (!n || *n == 0) {
-                error = "bad metrics interval (ns): " + *v;
-                return std::nullopt;
-            }
-            cfg.metricsIntervalNs = *n;
-            ++i;
-        } else if (a == "--histograms") {
-            cfg.histograms = true;
-        } else if (a == "--attrib") {
-            cfg.attrib = true;
-        } else if (a == "--tail-trace") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            auto k = parseSize(*v);
-            if (!k || *k == 0 || *k > 1024) {
-                error = "bad tail-trace depth (1..1024): " + *v;
-                return std::nullopt;
-            }
-            cfg.tailK = static_cast<std::uint32_t>(*k);
-            ++i;
-        } else if (a == "--json") {
-            cfg.diffJson = true;
-            sawJson = true;
-        } else if (a == "--diff-threshold") {
-            auto v = need(i);
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            const double t = std::strtod(v->c_str(), &end);
-            if (v->empty() || end == nullptr || *end != '\0'
-                || !(t >= 0.0) || t > 100.0) {
-                error = "bad diff-threshold (percent, 0..100): " + *v;
-                return std::nullopt;
-            }
-            cfg.diffThresholdPct = t;
-            sawThreshold = true;
-            ++i;
-        } else if (a == "--prefetch") {
-            cfg.prefetch = true;
-        } else if (a == "--csv") {
-            cfg.csv = true;
-        } else if (a == "diff" && i == 0) {
-            // `memo diff A.csv B.csv` -- the comparison verb reads
-            // better up front than `--mode diff`.
-            cfg.mode = CliMode::Diff;
-        } else if (cfg.mode == CliMode::Diff && !a.empty()
-                   && a[0] != '-') {
-            if (cfg.diffA.empty()) {
-                cfg.diffA = a;
-            } else if (cfg.diffB.empty()) {
-                cfg.diffB = a;
-            } else {
-                error = "diff takes exactly two files: " + a;
-                return std::nullopt;
-            }
-        } else {
-            error = "unknown argument: " + a;
-            return std::nullopt;
-        }
-    }
-    if (cfg.mode == CliMode::Chase && cfg.wssBytes.empty()) {
+    auto cfg = specparse::parseArgv(cliFlags(), args, error);
+    if (cfg && cfg->mode == CliMode::Chase && cfg->wssBytes.empty())
         error = "chase mode requires --wss";
+    if (cfg && cfg->mode == CliMode::Diff
+        && (cfg->diffA.empty() || cfg->diffB.empty()))
+        error = "diff requires two CSV files (memo diff A.csv B.csv)";
+    if (!error.empty())
         return std::nullopt;
-    }
-    // Pool mode carries every disturbance inside the pool spec: a
-    // stray machine-level spec would silently apply to nothing.
-    if (cfg.mode == CliMode::Pool
-        && (cfg.faults.enabled() || cfg.qos.enabled()
-            || cfg.chaos.enabled())) {
-        error = "pool mode takes disturbances via --pool-spec only";
-        return std::nullopt;
-    }
-    if (sawPoolSpec && cfg.mode != CliMode::Pool) {
-        error = "--pool-spec requires --mode pool";
-        return std::nullopt;
-    }
-    // Flag matrix, rejected up front with one line instead of a
-    // mid-run throw. Diff mode compares finished runs -- it simulates
-    // nothing, so every simulation flag is a mistake worth naming
-    // rather than ignoring.
-    if (cfg.mode == CliMode::Diff) {
-        if (cfg.diffA.empty() || cfg.diffB.empty()) {
-            error = "diff requires two CSV files "
-                    "(memo diff A.csv B.csv)";
-            return std::nullopt;
-        }
-        if (cfg.tailK > 0 || cfg.histograms || cfg.attrib
-            || !cfg.traceOut.empty() || cfg.traceSampleEvery > 0
-            || !cfg.metricsOut.empty() || cfg.metricsIntervalNs > 0
-            || cfg.faults.enabled() || cfg.qos.enabled()
-            || cfg.chaos.enabled() || cfg.watchdogUs > 0.0) {
-            error = "diff mode compares finished runs and takes no "
-                    "simulation flags";
-            return std::nullopt;
-        }
-    } else {
-        if (sawJson) {
-            error = "--json requires diff mode";
-            return std::nullopt;
-        }
-        if (sawThreshold) {
-            error = "--diff-threshold requires diff mode";
-            return std::nullopt;
-        }
-    }
     return cfg;
 }
 
@@ -701,16 +373,7 @@ namespace
 const char *
 opName(MemOp::Kind k)
 {
-    switch (k) {
-      case MemOp::Kind::Load:
-        return "load";
-      case MemOp::Kind::Store:
-        return "store";
-      case MemOp::Kind::NtStore:
-        return "nt-store";
-      default:
-        return "?";
-    }
+    return specparse::nameOf(opNames, static_cast<int>(k));
 }
 
 /** One sweep-point result plus its machine's RAS/QoS counters and
@@ -718,8 +381,8 @@ opName(MemOp::Kind k)
  *  is identical for any --jobs value). */
 struct PointResult
 {
-    double value = 0.0;
-    LoadedLatencyDist dist;  //!< loaded mode with extra columns only
+    std::string csv;         //!< the point's own CSV cells
+    std::string human;       //!< its human line(s)
     RasStats ras;
     QosStats qos;
     LatencyHistogram hist;   //!< target-device access latency
@@ -1149,359 +812,206 @@ runCli(const CliConfig &cfg)
                               tail).c_str());
     };
 
+    // A sweep of @p n points, each simulated by @p point on its own
+    // machine and printed in sweep order: its CSV cells plus the extra
+    // groups, or its human line(s) plus their summaries.
+    auto sweep = [&](std::size_t n, std::optional<Target> target,
+                     const auto &point) {
+        SweepRunner pool(cfg.jobs);
+        const auto pts = pool.map(n, [&](std::size_t i) {
+            PointResult p;
+            point(i, hooked(p, static_cast<int>(i), target), p);
+            return p;
+        });
+        const bool report = cfg.mode == CliMode::Report;
+        if (cfg.csv)
+            csvHeaderLine();
+        for (const PointResult &p : pts) {
+            if (cfg.csv) {
+                std::fputs(p.csv.c_str(), stdout);
+                if (extras)
+                    printExtraCsvCells(p, attrib, tail);
+                std::printf("\n");
+            } else {
+                std::fputs(p.human.c_str(), stdout);
+                printExtraLines(p, ras, qos, hist, attrib && !report, tail);
+                if (report)
+                    std::fputs(p.attrib.table().c_str(), stdout);
+            }
+        }
+        return finishRun(cfg, pts);
+    };
+
     switch (cfg.mode) {
       case CliMode::Help:
         std::fputs(cliUsage().c_str(), stdout);
         return 0;
 
-      case CliMode::Latency: {
-        std::vector<PointResult> pts(1);
-        PointResult &p = pts[0];
-        const Options o = hooked(p, 0, cfg.target);
-        const LatencyResult r = runLatency(cfg.target, o, &p.ras);
-        if (cfg.csv) {
-            csvHeaderLine();
-            std::printf("%s,%.1f,%.1f,%.1f,%.1f",
-                        targetName(cfg.target), r.loadNs, r.storeWbNs,
-                        r.ntStoreNs, r.ptrChaseNs);
-            if (extras)
-                printExtraCsvCells(p, attrib, tail);
-            std::printf("\n");
-        } else {
-            std::printf("%s latency (ns): ld %.1f  st+wb %.1f  "
-                        "nt-st %.1f  ptr-chase %.1f\n",
-                        targetName(cfg.target), r.loadNs, r.storeWbNs,
-                        r.ntStoreNs, r.ptrChaseNs);
-            printExtraLines(p, ras, qos, hist, attrib, tail);
-        }
-        return finishRun(cfg, pts);
-      }
-
-      case CliMode::Seq: {
-        SweepRunner pool(cfg.jobs);
-        const auto pts = pool.map(cfg.threads.size(),
-                                  [&](std::size_t i) {
-            PointResult p;
-            const Options o = hooked(p, static_cast<int>(i),
-                                     cfg.target);
-            p.value = runSeqBandwidth(cfg.target, cfg.op,
-                                      cfg.threads[i], o, &p.ras,
-                                      &p.qos);
-            return p;
+      case CliMode::Latency:
+        return sweep(1, cfg.target,
+                     [&](std::size_t, const Options &o, PointResult &p) {
+            const LatencyResult r = runLatency(cfg.target, o, &p.ras);
+            p.csv = format("%s,%.1f,%.1f,%.1f,%.1f", targetName(cfg.target),
+                           r.loadNs, r.storeWbNs, r.ntStoreNs, r.ptrChaseNs);
+            p.human = format("%s latency (ns): ld %.1f  st+wb %.1f  "
+                             "nt-st %.1f  ptr-chase %.1f\n",
+                             targetName(cfg.target), r.loadNs, r.storeWbNs,
+                             r.ntStoreNs, r.ptrChaseNs);
         });
-        if (cfg.csv)
-            csvHeaderLine();
-        for (std::size_t i = 0; i < cfg.threads.size(); ++i) {
+
+      case CliMode::Seq:
+      case CliMode::Report:
+        // Report is the seq sweep (the Fig. 3 shape) with attribution
+        // forced on: each point also prints its breakdown table.
+        return sweep(cfg.threads.size(), cfg.target,
+                     [&](std::size_t i, const Options &o, PointResult &p) {
             const std::uint32_t t = cfg.threads[i];
-            if (cfg.csv) {
-                std::printf("%s,%s,%u,%.2f", targetName(cfg.target),
-                            opName(cfg.op), t, pts[i].value);
-                if (extras)
-                    printExtraCsvCells(pts[i], attrib, tail);
-                std::printf("\n");
-            } else {
-                std::printf("%s %s seq, %2u threads: %7.2f GB/s\n",
-                            targetName(cfg.target), opName(cfg.op), t,
-                            pts[i].value);
-                printExtraLines(pts[i], ras, qos, hist, attrib, tail);
-            }
-        }
-        return finishRun(cfg, pts);
-      }
+            const double gbps = runSeqBandwidth(cfg.target, cfg.op, t, o,
+                                                &p.ras, &p.qos);
+            p.csv = format("%s,%s,%u,%.2f", targetName(cfg.target),
+                           opName(cfg.op), t, gbps);
+            p.human = format("%s %s seq, %2u threads: %7.2f GB/s\n",
+                             targetName(cfg.target), opName(cfg.op), t,
+                             gbps);
+        });
 
       case CliMode::Rand: {
-        struct Point
-        {
-            std::uint64_t block;
-            std::uint32_t threads;
-        };
-        std::vector<Point> points;
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> points;
         for (std::uint64_t b : cfg.blockBytes)
             for (std::uint32_t t : cfg.threads)
-                points.push_back({b, t});
-        SweepRunner pool(cfg.jobs);
-        const auto pts = pool.map(points.size(), [&](std::size_t i) {
-            PointResult p;
-            const Options o = hooked(p, static_cast<int>(i),
-                                     cfg.target);
-            p.value = runRandBandwidth(cfg.target, cfg.op,
-                                       points[i].threads,
-                                       points[i].block, o, &p.ras,
-                                       &p.qos);
-            return p;
+                points.emplace_back(b, t);
+        return sweep(points.size(), cfg.target,
+                     [&](std::size_t i, const Options &o, PointResult &p) {
+            const auto [block, t] = points[i];
+            const double gbps = runRandBandwidth(cfg.target, cfg.op, t,
+                                                 block, o, &p.ras, &p.qos);
+            p.csv = format("%s,%s,%llu,%u,%.2f", targetName(cfg.target),
+                           opName(cfg.op), (unsigned long long)block, t,
+                           gbps);
+            p.human = format("%s %s rand %6lluB blocks, %2u threads: "
+                             "%7.2f GB/s\n",
+                             targetName(cfg.target), opName(cfg.op),
+                             (unsigned long long)block, t, gbps);
         });
-        if (cfg.csv)
-            csvHeaderLine();
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (cfg.csv) {
-                std::printf("%s,%s,%llu,%u,%.2f",
-                            targetName(cfg.target), opName(cfg.op),
-                            (unsigned long long)points[i].block,
-                            points[i].threads, pts[i].value);
-                if (extras)
-                    printExtraCsvCells(pts[i], attrib, tail);
-                std::printf("\n");
-            } else {
-                std::printf("%s %s rand %6lluB blocks, %2u "
-                            "threads: %7.2f GB/s\n",
-                            targetName(cfg.target), opName(cfg.op),
-                            (unsigned long long)points[i].block,
-                            points[i].threads, pts[i].value);
-                printExtraLines(pts[i], ras, qos, hist, attrib, tail);
-            }
-        }
-        return finishRun(cfg, pts);
       }
 
-      case CliMode::Chase: {
+      case CliMode::Chase:
         // One machine per WSS point (single-element sweeps) so the
         // decomposition -- and therefore the output -- is the same for
         // every job count.
-        SweepRunner pool(cfg.jobs);
-        const auto pts = pool.map(cfg.wssBytes.size(),
-                                  [&](std::size_t i) {
-            PointResult p;
-            const Options o = hooked(p, static_cast<int>(i),
-                                     cfg.target);
-            p.value = runPtrChaseWssSweep(cfg.target, {cfg.wssBytes[i]},
-                                          o, &p.ras)[0];
-            return p;
+        return sweep(cfg.wssBytes.size(), cfg.target,
+                     [&](std::size_t i, const Options &o, PointResult &p) {
+            const auto wss = (unsigned long long)cfg.wssBytes[i];
+            const double ns = runPtrChaseWssSweep(
+                cfg.target, {cfg.wssBytes[i]}, o, &p.ras)[0];
+            p.csv = format("%s,%llu,%.1f", targetName(cfg.target), wss, ns);
+            p.human = format("%s chase wss %10llu B: %7.1f ns\n",
+                             targetName(cfg.target), wss, ns);
         });
-        if (cfg.csv)
-            csvHeaderLine();
-        for (std::size_t i = 0; i < cfg.wssBytes.size(); ++i) {
-            if (cfg.csv) {
-                std::printf("%s,%llu,%.1f", targetName(cfg.target),
-                            (unsigned long long)cfg.wssBytes[i],
-                            pts[i].value);
-                if (extras)
-                    printExtraCsvCells(pts[i], attrib, tail);
-                std::printf("\n");
-            } else {
-                std::printf("%s chase wss %10llu B: %7.1f ns\n",
-                            targetName(cfg.target),
-                            (unsigned long long)cfg.wssBytes[i],
-                            pts[i].value);
-                printExtraLines(pts[i], ras, qos, hist, attrib, tail);
-            }
-        }
-        return finishRun(cfg, pts);
-      }
 
-      case CliMode::Copy: {
-        std::vector<PointResult> pts(1);
-        PointResult &p = pts[0];
+      case CliMode::Copy:
         // The copy path touches several devices; merge them all into
         // the histogram (nullopt target).
-        const Options o = hooked(p, 0, std::nullopt);
-        p.value = runCopyBandwidth(cfg.path, cfg.method, cfg.batch,
-                                   4 * kiB, o);
-        if (cfg.csv) {
-            csvHeaderLine();
-            std::printf("%s,%s,%u,%.2f", copyPathName(cfg.path),
-                        copyMethodName(cfg.method), cfg.batch,
-                        p.value);
-            if (extras)
-                printExtraCsvCells(p, attrib, tail);
-            std::printf("\n");
-        } else {
-            std::printf("%s via %s (batch %u): %.2f GB/s\n",
-                        copyPathName(cfg.path),
-                        copyMethodName(cfg.method), cfg.batch,
-                        p.value);
-            printExtraLines(p, ras, qos, hist, attrib, tail);
-        }
-        return finishRun(cfg, pts);
-      }
+        return sweep(1, std::nullopt,
+                     [&](std::size_t, const Options &o, PointResult &p) {
+            const double gbps = runCopyBandwidth(cfg.path, cfg.method,
+                                                 cfg.batch, 4 * kiB, o);
+            p.csv = format("%s,%s,%u,%.2f", copyPathName(cfg.path),
+                           copyMethodName(cfg.method), cfg.batch, gbps);
+            p.human = format("%s via %s (batch %u): %.2f GB/s\n",
+                             copyPathName(cfg.path),
+                             copyMethodName(cfg.method), cfg.batch, gbps);
+        });
 
-      case CliMode::Loaded: {
-        SweepRunner pool(cfg.jobs);
-        if (extras) {
+      case CliMode::Loaded:
+        return sweep(cfg.threads.size(), cfg.target,
+                     [&](std::size_t i, const Options &o, PointResult &p) {
+            const std::uint32_t t = cfg.threads[i];
+            const char *target = targetName(cfg.target);
+            if (!extras) {
+                const double ns = runLoadedLatency(cfg.target, t, o,
+                                                   nullptr, &p.qos);
+                p.csv = format("%s,%u,%.1f", target, t, ns);
+                p.human = format("%s loaded latency, %2u threads: %7.1f "
+                                 "ns\n", target, t, ns);
+                return;
+            }
             // With any extra column group active the interesting
             // signal is the *tail*: report the windowed distribution
             // instead of one long-run average.
-            const auto pts = pool.map(cfg.threads.size(),
-                                      [&](std::size_t i) {
-                PointResult p;
-                const Options o = hooked(p, static_cast<int>(i),
-                                         cfg.target);
-                p.dist = runLoadedLatencyDist(cfg.target,
-                                              cfg.threads[i], o);
-                p.ras = p.dist.ras;
-                p.qos = p.dist.qos;
-                return p;
-            });
-            if (cfg.csv)
-                csvHeaderLine();
-            for (std::size_t i = 0; i < cfg.threads.size(); ++i) {
-                const std::uint32_t t = cfg.threads[i];
-                const LoadedLatencyDist &d = pts[i].dist;
-                if (cfg.csv) {
-                    std::printf("%s,%u,%.1f,%.1f,%.1f",
-                                targetName(cfg.target), t, d.avgNs,
-                                d.p50Ns, d.p99Ns);
-                    printExtraCsvCells(pts[i], attrib, tail);
-                    std::printf("\n");
-                } else {
-                    std::printf("%s loaded latency, %2u threads: "
-                                "avg %7.1f  p50 %7.1f  p99 %7.1f ns\n",
-                                targetName(cfg.target), t, d.avgNs,
-                                d.p50Ns, d.p99Ns);
-                    printExtraLines(pts[i], ras, qos, hist, attrib, tail);
-                }
-            }
-            return finishRun(cfg, pts);
-        }
-        const auto pts = pool.map(cfg.threads.size(),
-                                  [&](std::size_t i) {
-            PointResult p;
-            const Options o = hooked(p, static_cast<int>(i),
-                                     cfg.target);
-            p.value = runLoadedLatency(cfg.target, cfg.threads[i], o,
-                                       nullptr, &p.qos);
-            return p;
+            const LoadedLatencyDist d = runLoadedLatencyDist(cfg.target, t, o);
+            p.ras = d.ras;
+            p.qos = d.qos;
+            p.csv = format("%s,%u,%.1f,%.1f,%.1f", target, t, d.avgNs,
+                           d.p50Ns, d.p99Ns);
+            p.human = format("%s loaded latency, %2u threads: avg %7.1f  "
+                             "p50 %7.1f  p99 %7.1f ns\n",
+                             target, t, d.avgNs, d.p50Ns, d.p99Ns);
         });
-        if (cfg.csv)
-            csvHeaderLine();
-        for (std::size_t i = 0; i < cfg.threads.size(); ++i) {
-            const std::uint32_t t = cfg.threads[i];
-            if (cfg.csv)
-                std::printf("%s,%u,%.1f\n", targetName(cfg.target), t,
-                            pts[i].value);
-            else
-                std::printf("%s loaded latency, %2u threads: %7.1f "
-                            "ns\n",
-                            targetName(cfg.target), t, pts[i].value);
-        }
-        return finishRun(cfg, pts);
-      }
 
-      case CliMode::Report: {
-        // Sequential-bandwidth sweep (the Fig. 3 shape) with
-        // attribution forced on: each point prints its bandwidth, the
-        // full per-station breakdown table and a bottleneck verdict.
-        SweepRunner pool(cfg.jobs);
-        const auto pts = pool.map(cfg.threads.size(),
-                                  [&](std::size_t i) {
-            PointResult p;
-            const Options o = hooked(p, static_cast<int>(i),
-                                     cfg.target);
-            p.value = runSeqBandwidth(cfg.target, cfg.op,
-                                      cfg.threads[i], o, &p.ras,
-                                      &p.qos);
-            return p;
-        });
-        if (cfg.csv)
-            csvHeaderLine();
-        for (std::size_t i = 0; i < cfg.threads.size(); ++i) {
-            const std::uint32_t t = cfg.threads[i];
-            if (cfg.csv) {
-                std::printf("%s,%s,%u,%.2f", targetName(cfg.target),
-                            opName(cfg.op), t, pts[i].value);
-                printExtraCsvCells(pts[i], attrib, tail);
-                std::printf("\n");
-            } else {
-                std::printf("%s %s seq, %2u threads: %7.2f GB/s\n",
-                            targetName(cfg.target), opName(cfg.op), t,
-                            pts[i].value);
-                printExtraLines(pts[i], ras, qos, hist, false, tail);
-                std::fputs(pts[i].attrib.table().c_str(), stdout);
-            }
-        }
-        return finishRun(cfg, pts);
-      }
-
-      case CliMode::Drill: {
+      case CliMode::Drill:
         // One drill per thread-count point; each point is its own
         // Machine, so SweepRunner keeps --jobs output-independent.
-        struct DrillPoint
-        {
-            PointResult p;
-            DrillResult d;
-        };
-        SweepRunner pool(cfg.jobs);
-        const auto pts = pool.map(cfg.threads.size(),
-                                  [&](std::size_t i) {
-            DrillPoint dp;
-            const Options o = hooked(dp.p, static_cast<int>(i),
-                                     Target::Cxl);
-            dp.d = runDrill(cfg.threads[i], o);
-            dp.p.ras = dp.d.ras;
-            return dp;
-        });
-        if (cfg.csv)
-            csvHeaderLine();
-        std::vector<PointResult> outs;
-        outs.reserve(pts.size());
-        for (std::size_t i = 0; i < cfg.threads.size(); ++i) {
-            const DrillResult &d = pts[i].d;
+        return sweep(cfg.threads.size(), Target::Cxl,
+                     [&](std::size_t i, const Options &o, PointResult &p) {
+            const DrillResult d = runDrill(cfg.threads[i], o);
             const ChaosStats &c = d.chaos;
-            if (cfg.csv) {
-                std::printf("%u,%.2f,%.2f,%.2f,%.1f,%.1f,%.1f,%.1f,"
-                            "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%d",
-                            cfg.threads[i], d.healthyGBps,
-                            d.degradedGBps, d.recoveredGBps,
-                            d.linkDetectNs, d.linkMttrNs,
-                            d.removeDetectNs, d.removeMttrNs,
-                            (unsigned long long)c.dataAtRiskBytes,
-                            (unsigned long long)d.evacuatedBytes,
-                            (unsigned long long)c.pagesOfflined,
-                            (unsigned long long)c.offlinedBytes,
-                            (unsigned long long)c.migratedBytes,
-                            (unsigned long long)c.abortedReads,
-                            (unsigned long long)c.abortedWrites,
-                            d.invariantOk ? 1 : 0);
-                printExtraCsvCells(pts[i].p, attrib, tail);
-                std::printf("\n");
-            } else {
-                std::printf("CXL drill, %2u threads:\n",
-                            cfg.threads[i]);
-                std::printf("  throughput: healthy %.2f -> degraded "
-                            "%.2f -> recovered %.2f GB/s\n",
-                            d.healthyGBps, d.degradedGBps,
-                            d.recoveredGBps);
-                if (c.linkDowns > 0) {
-                    std::printf("  link: detected down in %.1f ns, "
-                                "full width back after %.1f ns "
-                                "(%llu retrain%s, %llu step-up%s)\n",
-                                d.linkDetectNs, d.linkMttrNs,
-                                (unsigned long long)c.retrains,
-                                c.retrains == 1 ? "" : "s",
-                                (unsigned long long)c.widthStepUps,
-                                c.widthStepUps == 1 ? "" : "s");
-                }
-                if (c.removals > 0) {
-                    std::printf("  device: removal detected in %.1f "
-                                "ns, re-added after %.1f ns; aborted "
-                                "%llu reads / %llu writes (%llu B)\n",
-                                d.removeDetectNs, d.removeMttrNs,
-                                (unsigned long long)c.abortedReads,
-                                (unsigned long long)c.abortedWrites,
-                                (unsigned long long)c.abortedBytes);
-                    std::printf("  containment: %llu B at risk, "
-                                "%llu B evacuated via DSA\n",
-                                (unsigned long long)c.dataAtRiskBytes,
-                                (unsigned long long)d.evacuatedBytes);
-                }
-                if (c.pagesOfflined > 0 || c.poisonEvents > 0) {
-                    std::printf("  pages: %llu offlined (%llu B), "
-                                "%llu B migrated (%llu poison "
-                                "events)\n",
-                                (unsigned long long)c.pagesOfflined,
-                                (unsigned long long)c.offlinedBytes,
-                                (unsigned long long)c.migratedBytes,
-                                (unsigned long long)c.poisonEvents);
-                }
-                std::printf("  poison invariant: %s%s\n",
-                            d.invariantOk ? "OK" : "VIOLATED",
-                            d.watchdogTripped
-                                ? " (watchdog tripped)" : "");
-                printExtraLines(pts[i].p, ras, qos, hist, attrib, tail);
+            p.ras = d.ras;
+            p.csv = format("%u,%.2f,%.2f,%.2f,%.1f,%.1f,%.1f,%.1f,"
+                           "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%d",
+                           cfg.threads[i], d.healthyGBps, d.degradedGBps,
+                           d.recoveredGBps, d.linkDetectNs, d.linkMttrNs,
+                           d.removeDetectNs, d.removeMttrNs,
+                           (unsigned long long)c.dataAtRiskBytes,
+                           (unsigned long long)d.evacuatedBytes,
+                           (unsigned long long)c.pagesOfflined,
+                           (unsigned long long)c.offlinedBytes,
+                           (unsigned long long)c.migratedBytes,
+                           (unsigned long long)c.abortedReads,
+                           (unsigned long long)c.abortedWrites,
+                           d.invariantOk ? 1 : 0);
+            p.human = format("CXL drill, %2u threads:\n"
+                             "  throughput: healthy %.2f -> degraded "
+                             "%.2f -> recovered %.2f GB/s\n",
+                             cfg.threads[i], d.healthyGBps,
+                             d.degradedGBps, d.recoveredGBps);
+            if (c.linkDowns > 0) {
+                p.human += format("  link: detected down in %.1f ns, "
+                                  "full width back after %.1f ns "
+                                  "(%llu retrain%s, %llu step-up%s)\n",
+                                  d.linkDetectNs, d.linkMttrNs,
+                                  (unsigned long long)c.retrains,
+                                  c.retrains == 1 ? "" : "s",
+                                  (unsigned long long)c.widthStepUps,
+                                  c.widthStepUps == 1 ? "" : "s");
             }
-            outs.push_back(pts[i].p);
-        }
-        return finishRun(cfg, outs);
-      }
+            if (c.removals > 0) {
+                p.human += format("  device: removal detected in %.1f "
+                                  "ns, re-added after %.1f ns; aborted "
+                                  "%llu reads / %llu writes (%llu B)\n"
+                                  "  containment: %llu B at risk, "
+                                  "%llu B evacuated via DSA\n",
+                                  d.removeDetectNs, d.removeMttrNs,
+                                  (unsigned long long)c.abortedReads,
+                                  (unsigned long long)c.abortedWrites,
+                                  (unsigned long long)c.abortedBytes,
+                                  (unsigned long long)c.dataAtRiskBytes,
+                                  (unsigned long long)d.evacuatedBytes);
+            }
+            if (c.pagesOfflined > 0 || c.poisonEvents > 0) {
+                p.human += format("  pages: %llu offlined (%llu B), "
+                                  "%llu B migrated (%llu poison "
+                                  "events)\n",
+                                  (unsigned long long)c.pagesOfflined,
+                                  (unsigned long long)c.offlinedBytes,
+                                  (unsigned long long)c.migratedBytes,
+                                  (unsigned long long)c.poisonEvents);
+            }
+            p.human += format("  poison invariant: %s%s\n",
+                              d.invariantOk ? "OK" : "VIOLATED",
+                              d.watchdogTripped ? " (watchdog tripped)"
+                                                : "");
+        });
 
       case CliMode::Pool: {
         const PoolResult r = runPool(cfg.poolSpec, opts, cfg.jobs);

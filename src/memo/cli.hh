@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "memo/memo.hh"
+#include "sim/flagparse.hh"
 
 namespace cxlmemo
 {
@@ -153,20 +154,17 @@ std::string csvHeader(CliMode mode, bool ras, bool qos, bool hist,
 
 /**
  * Parse argv into a CliConfig.
- * @return std::nullopt plus an error string on bad input.
+ * @return std::nullopt plus a one-line error naming the flag.
  */
 std::optional<CliConfig> parseCli(const std::vector<std::string> &args,
                                   std::string &error);
 
-/** Parse a size like "16K", "4M", "1G", "512" (bytes). */
-std::optional<std::uint64_t> parseSize(const std::string &text);
+using specparse::parseListSpec;
+using specparse::parseSize;
 
-/**
- * Parse a list/range spec: "8", "1,2,4", "1-32" (powers-of-two steps
- * plus endpoints for ranges).
- */
-std::optional<std::vector<std::uint64_t>>
-parseListSpec(const std::string &text);
+/** The flag table behind parseCli, the options section of cliUsage()
+ *  and the mode checks. */
+const specparse::Argv<CliConfig> &cliFlags();
 
 /** Usage text. */
 std::string cliUsage();

@@ -186,6 +186,25 @@ TEST(BenchArgs, BadRepsAndJobsExitTwoBeforeAnyRun)
     }
 }
 
+TEST(BenchArgs, UnknownArgumentAndTrailingOutExitTwo)
+{
+    // Each bench reads argv through the flag table it declares: a flag
+    // it does not take, or --out with no file after it, is an error
+    // before any run instead of being ignored.
+    const std::string dir = CXLMEMO_BENCH_DIR;
+    for (const char *bench :
+         {"bench_attrib", "bench_chaos", "bench_pool", "bench_fabric_obs",
+          "bench_tail_obs", "bench_fig3_seq_bw", "bench_overload"}) {
+        for (const char *args : {"--bogus", "--out"}) {
+            const Output r =
+                run(dir + "/" + bench + " " + args, /*mergeStderr=*/true);
+            EXPECT_EQ(r.status, 2) << bench << " " << args;
+            EXPECT_EQ(split(r.out, '\n').size(), 1u)
+                << bench << " " << args << ": " << r.out;
+        }
+    }
+}
+
 TEST(SweepDeterminism, JobsOneAndFourPrintTheSameBytes)
 {
     const std::string sweep =
