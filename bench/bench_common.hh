@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
-#include <vector>
 
 #include "sim/flagparse.hh"
 
@@ -72,11 +71,10 @@ inline Args
 parseArgs(int argc, char **argv, std::initializer_list<ArgFlag> flags,
           Args dflt = {})
 {
-    const std::vector<ArgFlag> table(flags);
     std::string error;
-    const auto args = specparse::parseArgv(specparse::Argv<Args>{table},
-                                           {argv + 1, argv + argc}, error,
-                                           dflt);
+    const auto args = specparse::parseArgv(
+        specparse::Argv<Args>{{flags.begin(), flags.size()}},
+        {argv + 1, argv + argc}, error, dflt);
     if (!args) {
         std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
         std::exit(2);
