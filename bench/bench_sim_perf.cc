@@ -314,6 +314,39 @@ BM_SetAssocCacheLlcProbe(benchmark::State &state)
 }
 BENCHMARK(BM_SetAssocCacheLlcProbe);
 
+/**
+ * LLC hit path at the same geometry: every set is filled, then find()
+ * probes resident lines in a random order, so every probe hits and
+ * promotes a way from a uniformly random recency position.
+ */
+void
+BM_SetAssocCacheLlcHit(benchmark::State &state)
+{
+    const CacheParams p = testbed_params::sprHierarchy(32).llc;
+    SetAssocCache llc(p);
+    std::vector<std::uint64_t> resident;
+    for (std::uint64_t l = 0; l < std::uint64_t(llc.numSets()) * p.assoc;
+         ++l) {
+        llc.insert(l, LineState::Exclusive, 0);
+        resident.push_back(l);
+    }
+    Rng rng(5);
+    std::vector<std::uint64_t> lines(1 << 20);
+    for (std::uint64_t &l : lines)
+        l = resident[rng.below(resident.size())];
+    std::uint64_t hits = 0;
+    for (auto _ : state) {
+        for (const std::uint64_t l : lines)
+            hits += llc.find(l) != nullptr;
+    }
+    benchmark::DoNotOptimize(hits);
+    if (llc.stats().evictions != 0
+        || hits != state.iterations() * lines.size())
+        state.SkipWithError("a probe missed");
+    state.SetItemsProcessed(state.iterations() * lines.size());
+}
+BENCHMARK(BM_SetAssocCacheLlcHit);
+
 /** Set-up cost of the 32-core testbed's tag arrays (L1, L2, LLC and
  *  TLBs for every core), which every Machine pays before any event. */
 void

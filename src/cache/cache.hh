@@ -67,9 +67,12 @@ struct CacheStats
  * ("line address" = physical address >> 6, so never 2^64 - 1).
  *
  * Storage is structure-of-arrays, set-major: a tag word per way (0 =
- * invalid, else lineAddr + 1), an LRU stamp per way and a 4-byte
- * metadata Line per way. All three live in one zero-filled block, so
- * a set no access ever touches costs neither construction time nor
+ * invalid, else lineAddr + 1), a 4-byte metadata Line per way and one
+ * recency word per set, 12 bytes a way plus 8 a set. The recency word
+ * lists the set's ways as 4-bit indices, most recently used in the
+ * low nibble, stored XORed with the identity order so that all-zero
+ * is a valid order. All three arrays live in one zero-filled block,
+ * so a set no access ever touches costs neither construction time nor
  * resident pages (DESIGN.md section 9).
  */
 class SetAssocCache
@@ -104,7 +107,7 @@ class SetAssocCache
 
     /**
      * Install a line into the set's first invalid way, else over its
-     * least recently used way (lowest way on a tie).
+     * least recently used way.
      * @return the displaced valid line, if any.
      */
     std::optional<Victim> insert(std::uint64_t lineAddr, LineState state,
@@ -131,18 +134,19 @@ class SetAssocCache
         void operator()(std::byte *p) const;
     };
 
-    /** Index of the first way of @p lineAddr's set. */
-    std::size_t setBase(std::uint64_t lineAddr) const;
+    /** Index of @p lineAddr's set; its first way is set * assoc. */
+    std::size_t setOf(std::uint64_t lineAddr) const;
     /** Way of @p tag in the set at @p base, or assoc if none holds it. */
     std::uint32_t wayOf(std::size_t base, std::uint64_t tag) const;
+    /** Make way @p w of @p set its most recently used. */
+    void touch(std::size_t set, std::uint32_t w);
 
     CacheParams params_;
     std::uint32_t numSets_;
     std::unique_ptr<std::byte[], Release> storage_;
-    std::uint64_t *tags_;   //!< 0 = invalid, else lineAddr + 1
-    std::uint64_t *stamps_; //!< LRU use clock at last touch
+    std::uint64_t *tags_;  //!< 0 = invalid, else lineAddr + 1
+    std::uint64_t *order_; //!< per set: ways MRU first, XOR identity
     Line *lines_;
-    std::uint64_t useClock_ = 0;
     /** No insert since construction or the last flushAll(). */
     bool empty_ = true;
     CacheStats stats_;

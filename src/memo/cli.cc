@@ -362,6 +362,9 @@ parseCli(const std::vector<std::string> &args, std::string &error)
     if (cfg && cfg->mode == CliMode::Diff
         && (cfg->diffA.empty() || cfg->diffB.empty()))
         error = "diff requires two CSV files (memo diff A.csv B.csv)";
+    // A later --mode can leave an operand taken while the mode was diff.
+    if (cfg && cfg->mode != CliMode::Diff && !cfg->diffA.empty())
+        error = "diff operand " + cfg->diffA + " outside diff mode";
     if (!error.empty())
         return std::nullopt;
     return cfg;

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "mem/request.hh"
@@ -271,6 +275,88 @@ TEST(SetAssocCache, MatchesArrayOfStructsReference)
             }
         }
     }
+}
+
+/**
+ * The per-set recency word against the per-way stamp model, for every
+ * associativity it supports: each full set is touched in a seeded
+ * random order, so the next insert must evict the first way touched,
+ * and holes, refills and flushAll() (which leaves the old order word
+ * behind) interleave with the evictions.
+ */
+TEST(SetAssocCache, RecencyWordIsExactLru)
+{
+    for (std::uint32_t assoc = 1; assoc <= 16; ++assoc) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc));
+        constexpr std::uint32_t sets = 4;
+        SetAssocCache c({"c", sets * assoc * cachelineBytes, assoc, 0});
+        ASSERT_EQ(c.numSets(), sets);
+        RefCache ref(c);
+        Rng rng(assoc);
+        // Below 2^17 the set index is the line address mod sets.
+        std::vector<std::uint64_t> pool;
+        for (std::uint64_t k = 0; k <= 3 * assoc; ++k)
+            pool.push_back(1 + k * sets);
+        const auto insert = [&](std::uint64_t la) {
+            const auto got = c.insert(la, LineState::Exclusive, 0);
+            const auto want = ref.insert(la, LineState::Exclusive, 0, false);
+            EXPECT_EQ(got.has_value(), want.has_value());
+            EXPECT_EQ(got ? got->lineAddr : 0, want ? want->lineAddr : 0);
+            return got ? std::optional<std::uint64_t>(got->lineAddr)
+                       : std::nullopt;
+        };
+        const auto resident = [&] {
+            std::vector<std::uint64_t> in;
+            for (std::uint64_t la : pool)
+                if (c.peek(la))
+                    in.push_back(la);
+            return in;
+        };
+        for (int round = 0; round < 60; ++round) {
+            // Fill the set, evicting as the model says whenever a
+            // refill meets a full set.
+            while (resident().size() < assoc)
+                insert(pool[rng.below(pool.size())]);
+            // Touch every way once in a random order.
+            std::vector<std::uint64_t> order = resident();
+            for (std::size_t i = order.size(); i > 1; --i)
+                std::swap(order[i - 1], order[rng.below(i)]);
+            for (std::uint64_t la : order)
+                expectSameLine(c.find(la), ref.find(la));
+            // A new line evicts the first way touched, at the last
+            // recency position.
+            std::uint64_t fresh = pool[rng.below(pool.size())];
+            while (c.peek(fresh))
+                fresh = pool[rng.below(pool.size())];
+            EXPECT_EQ(insert(fresh), std::optional(order.front()));
+            // Punch holes; now and then drop every line instead.
+            if (round % 10 == 9) {
+                c.flushAll();
+                ref.flushAll();
+            } else {
+                for (std::uint64_t n = rng.below(assoc); n > 0; --n) {
+                    const std::uint64_t la = pool[rng.below(pool.size())];
+                    EXPECT_EQ(c.invalidate(la), ref.invalidate(la));
+                }
+            }
+            EXPECT_EQ(c.stats().evictions, ref.evictions);
+            if (HasFailure())
+                return;
+        }
+        // After a flush the stale order word must not leak: refilled
+        // in pool order with no touches, the first line is the LRU.
+        c.flushAll();
+        ref.flushAll();
+        for (std::uint32_t k = 0; k < assoc; ++k)
+            EXPECT_FALSE(insert(pool[k]).has_value());
+        EXPECT_EQ(insert(pool[assoc]), std::optional(pool[0]));
+    }
+}
+
+TEST(SetAssocCacheDeathTest, AssociativityAbove16Aborts)
+{
+    EXPECT_DEATH(SetAssocCache({"c", 4 * 17 * cachelineBytes, 17, 0}),
+                 "associativity above 16");
 }
 
 /** Device that counts per-command traffic and completes after 50 ns. */

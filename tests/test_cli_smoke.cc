@@ -250,6 +250,20 @@ TEST(FaultSweep, MalformedSpecExitsNonzeroWithOneLine)
     EXPECT_EQ(split(r.out, '\n').size(), 1u) << r.out;
 }
 
+TEST(Warnings, SuppressionNamesARepositoryPath)
+{
+    // The drill's poison warnings hit their rate limit; the notice
+    // must read the same in every checkout of the source.
+    const Output r = run(std::string(CXLMEMO_MEMO) + " --mode drill",
+                         /*mergeStderr=*/true);
+    ASSERT_EQ(r.status, 0) << r.out;
+    EXPECT_TRUE(std::regex_search(
+        r.out, std::regex("\\nwarn: further warnings from "
+                          "src/cxl/device\\.cc:[0-9]+ suppressed\\n")))
+        << r.out;
+    EXPECT_EQ(r.out.find(CXLMEMO_SOURCE_DIR), std::string::npos) << r.out;
+}
+
 TEST(Overload, QuickMatrixHoldsItsContract)
 {
     // The bench asserts the credit ledger, no watchdog trip and the

@@ -766,6 +766,16 @@ TEST(MemoCli, DiffModeRejectsBadInvocations)
     EXPECT_FALSE(parseCli(v, err).has_value());
     v = {"--mode", "loaded", "--diff-threshold", "2"};
     EXPECT_FALSE(parseCli(v, err).has_value());
+    // An operand taken in diff mode is not dropped by a later --mode.
+    for (auto ops : {std::vector<std::string>{"a.csv"},
+                     std::vector<std::string>{"a.csv", "b.csv"}}) {
+        v = {"--mode", "diff"};
+        v.insert(v.end(), ops.begin(), ops.end());
+        v.insert(v.end(), {"--mode", "seq"});
+        err.clear();
+        EXPECT_FALSE(parseCli(v, err).has_value());
+        EXPECT_EQ(err, "diff operand a.csv outside diff mode");
+    }
 }
 
 TEST(MemoCli, CsvHeaderGrowsTailTier)
